@@ -115,6 +115,8 @@ struct PipelinedRow {
   double p99_ns = 0;
   std::uint64_t wake_batches = 0;
   std::uint64_t caller_wakeups = 0;
+  std::uint64_t batch_flushes = 0;
+  double batch_fill = 0;  ///< switchless calls per flush
 };
 std::map<std::string, PipelinedRow>& pipelined_rows() {
   static std::map<std::string, PipelinedRow> rows;
@@ -473,6 +475,11 @@ void BM_BatchedPipelined(benchmark::State& state) {
   row.p99_ns = pct(0.99);
   row.wake_batches = snap.wake_batches;
   row.caller_wakeups = snap.caller_wakeups;
+  row.batch_flushes = snap.batch_flushes;
+  if (snap.batch_flushes != 0) {
+    row.batch_fill = static_cast<double>(snap.switchless_calls) /
+                     static_cast<double>(snap.batch_flushes);
+  }
   pipelined_rows()[row.mode] = row;
 }
 BENCHMARK(BM_BatchedPipelined)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
@@ -757,6 +764,8 @@ int main(int argc, char** argv) {
                  .set("p99_ns", row.p99_ns)
                  .set("wake_batches", row.wake_batches)
                  .set("caller_wakeups", row.caller_wakeups)
+                 .set("batch_flushes", row.batch_flushes)
+                 .set("batch_fill", row.batch_fill)
                  .str()
           << '\n';
     }

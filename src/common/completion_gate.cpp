@@ -53,8 +53,8 @@ void CompletionGate::futex_block(const void* addr,
   syscall(SYS_futex, addr, FUTEX_WAIT_PRIVATE, observed, nullptr, nullptr, 0);
 }
 
-void CompletionGate::wake_sleepers(const void* addr) noexcept {
-  syscall(SYS_futex, addr, FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
+void CompletionGate::wake_sleepers() noexcept {
+  syscall(SYS_futex, &epoch_, FUTEX_WAKE_PRIVATE, INT_MAX, nullptr, nullptr, 0);
   // The empty lock/unlock orders this notify after a condvar waiter's
   // predicate evaluation (a waiter between its check and cv_.wait holds
   // the mutex), so the broadcast cannot land in that window and be lost.
@@ -70,7 +70,7 @@ bool CompletionGate::futex_available() noexcept { return false; }
 
 void CompletionGate::futex_block(const void*, std::uint32_t) noexcept {}
 
-void CompletionGate::wake_sleepers(const void* /*addr*/) noexcept {
+void CompletionGate::wake_sleepers() noexcept {
   {
     std::lock_guard lock(mu_);
   }

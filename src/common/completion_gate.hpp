@@ -24,33 +24,33 @@
 //        kYield   — yield between polls (one BackendStats::caller_yields
 //                   per yield): the narrow-host default, unchanged from
 //                   the pre-gate backends.
-//        kFutex   — sleep in the kernel on the word itself
-//                   (FUTEX_WAIT_PRIVATE); one syscall to sleep, one
-//                   (by the waker) to wake.  Falls back to kCondvar on
-//                   non-Linux hosts behind the same API.
+//        kFutex   — sleep in the kernel on the gate's epoch word
+//                   (FUTEX_WAIT_PRIVATE), which every notify() moves;
+//                   one syscall to sleep, one (by the waker) to wake.
+//                   Falls back to kCondvar on non-Linux hosts behind the
+//                   same API.
 //        kCondvar — sleep on the gate's mutex+condition_variable (the
 //                   portable fallback, and zc_async's historical wait).
 //             Sleeps/wakes are counted in BackendStats::caller_sleeps /
 //             caller_wakeups.
 //
-// Waker contract: update the state word first, then call notify(word).
-// notify() starts with a seq_cst fence so a release-ordered word store
-// still pairs with a sleeping waiter's seq_cst registration (the classic
-// store-buffer pairing), and it elides all syscalls/locks while nobody is
-// sleeping — with a non-sleeping policy the waker side can skip notify()
-// entirely (gate_can_sleep()).  Predicates are re-evaluated after every
-// wake-up, so spurious futex returns and condvar wake-ups are harmless.
+// Waker contract: update the state word (or any other state the
+// predicate reads) first, then call notify(word).  notify() starts with a
+// seq_cst fence so a release-ordered word store still pairs with a
+// sleeping waiter's seq_cst registration (the classic store-buffer
+// pairing), and it elides all syscalls/locks while nobody is sleeping —
+// with a non-sleeping policy the waker side can skip notify() entirely
+// (gate_can_sleep()).  Predicates are re-evaluated after every wake-up,
+// so spurious futex returns and condvar wake-ups are harmless.
 //
 // Wake coalescing: a worker that completes a whole batch at once (the
 // batched flush, the async drain run) would pay one futex wake — ~2.2 µs
-// measured by BM_GatePolicy — per slot under notify().  When several
-// waiters share one gate via await_coalesced(), they sleep on the gate's
-// own epoch word instead of their private state words, so a single
-// notify_batch() (one futex wake / one condvar broadcast) releases every
-// current sleeper; each re-checks its own predicate and the ones whose
-// slots completed return while any others go back to sleep on the new
-// epoch.  notify() and notify_batch() target disjoint sleeper sets (the
-// futex address differs), so a gate must be used in one style at a time.
+// measured by BM_GatePolicy — per slot with a gate per slot.  When the
+// waiters share one gate instead (await_coalesced(), each with its own
+// state word and predicate), a single notify_batch() (one futex wake /
+// one condvar broadcast) releases every current sleeper; each re-checks
+// its own predicate and the ones whose slots completed return while any
+// others go back to sleep on the new epoch.
 #pragma once
 
 #include <atomic>
@@ -115,8 +115,14 @@ class CompletionGate {
   static bool futex_available() noexcept;
 
   /// Blocks until `pred(word.load())` holds.  T must be a 32-bit word
-  /// (the ZC-family state enums and plain uint32_t both qualify); the
-  /// futex sleeps on the word's own address, so no shadow state can drift.
+  /// (the ZC-family state enums and plain uint32_t both qualify).  Any
+  /// number of waiters, each with its own word and predicate, may share
+  /// one gate: a futex sleeper parks on the gate's epoch, not on `word`,
+  /// so one notify releases every sleeper and each re-checks its own
+  /// predicate.  Sleeping on the epoch also covers predicates that watch
+  /// state outside the word (a stop flag): a notify for such a change
+  /// leaves the word as it was, so a kernel re-check of the word would
+  /// put the waiter to sleep for good.
   template <typename T, typename Pred>
   void await(const std::atomic<T>& word, Pred&& pred, GateWaitPolicy policy,
              std::chrono::microseconds spin, const GateCounters& counters) {
@@ -134,52 +140,12 @@ class CompletionGate {
     // phase — a completion racing the phase transition stays uncounted.
     bool slept = false;
     if (policy == GateWaitPolicy::kFutex && futex_available()) {
-      // The seq_cst registration/load pair is the waiter's half of the
-      // store-buffer pairing with notify()'s fence (see class comment);
-      // futex_block itself re-checks the word in the kernel, so a wake
-      // between the load and the syscall is never lost.
+      // Registration before the loads: the waiter's half of the pairing
+      // with notify()'s epoch bump (see the class comment).
       sleepers_.fetch_add(1, std::memory_order_seq_cst);
       for (;;) {
-        const T value = word.load(std::memory_order_seq_cst);
-        if (pred(value)) break;
-        if (!slept) {
-          slept = true;
-          if (counters.sleeps != nullptr) counters.sleeps->add();
-        }
-        futex_block(&word, static_cast<std::uint32_t>(value));
-      }
-      sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    } else {
-      condvar_sleep(word, pred, counters, slept);
-    }
-    if (slept && counters.wakeups != nullptr) counters.wakeups->add();
-  }
-
-  /// Coalesced-wake variant of await(): identical spin/yield behaviour,
-  /// but a sleeping waiter parks on the *gate's* epoch word instead of
-  /// `word`, so several waiters (each with their own state word and
-  /// predicate) can share one gate and be released together by a single
-  /// notify_batch().  Pair exclusively with notify_batch(): a plain
-  /// notify(word) will not find these sleepers on the futex path.
-  template <typename T, typename Pred>
-  void await_coalesced(const std::atomic<T>& word, Pred&& pred,
-                       GateWaitPolicy policy, std::chrono::microseconds spin,
-                       const GateCounters& counters) {
-    static_assert(sizeof(std::atomic<T>) == sizeof(std::uint32_t),
-                  "CompletionGate waits on 32-bit state words");
-    if (spin_phase(word, pred, policy, spin)) return;
-
-    if (policy == GateWaitPolicy::kYield) {
-      yield_phase(word, pred, counters);
-      return;
-    }
-
-    bool slept = false;
-    if (policy == GateWaitPolicy::kFutex && futex_available()) {
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      for (;;) {
-        // Epoch before predicate: if the batch completes (word store, then
-        // epoch bump) between these two loads, the kernel's atomic
+        // Epoch before predicate: if the waker's update and epoch bump
+        // land between these two loads, the kernel's atomic
         // epoch != observed re-check turns the sleep into an immediate
         // EAGAIN instead of a lost wakeup.
         const std::uint32_t observed =
@@ -193,33 +159,47 @@ class CompletionGate {
       }
       sleepers_.fetch_sub(1, std::memory_order_seq_cst);
     } else {
-      // The condvar path is already coalesced by construction: every
-      // sharer sleeps on this gate's one mutex+cv, and notify_batch()'s
-      // broadcast is a single notify_all.
+      // Every waiter of the gate sleeps on its one mutex+cv, and the
+      // notify is a single notify_all.
       condvar_sleep(word, pred, counters, slept);
     }
     if (slept && counters.wakeups != nullptr) counters.wakeups->add();
   }
 
-  /// Waker side: call after storing the new word value.  No-ops (one fence
-  /// + one relaxed load) while nobody is sleeping.
+  /// The wait of a gate shared by several waiters (a worker's callers
+  /// under coalesce=on); the same wait as await(), named for the call
+  /// sites that pair it with one notify_batch() per completed batch.
+  template <typename T, typename Pred>
+  void await_coalesced(const std::atomic<T>& word, Pred&& pred,
+                       GateWaitPolicy policy, std::chrono::microseconds spin,
+                       const GateCounters& counters) {
+    await(word, pred, policy, spin, counters);
+  }
+
+  /// Waker side: call after storing the new word value (or flipping any
+  /// other state the waiter's predicate reads).  No-ops (one fence + one
+  /// relaxed load) while nobody is sleeping; otherwise bumps the epoch
+  /// and wakes every sleeper.  A sleeper registers before it reads the
+  /// epoch, so a bump made after seeing it registered still lands after
+  /// that read.
   template <typename T>
-  void notify(const std::atomic<T>& word) noexcept {
+  void notify(const std::atomic<T>& /*word*/) noexcept {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-    wake_sleepers(&word);
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    wake_sleepers();
   }
 
   /// Coalesced waker side: call once after storing *all* the word values
   /// of a completed batch.  One futex wake (or one condvar broadcast)
-  /// releases every sleeper currently parked via await_coalesced(); the
-  /// epoch bump (a seq_cst RMW, doubling as the notify fence) guarantees a
-  /// waiter racing into its sleep observes either its completed word or
-  /// the moved epoch.  Cheap when nobody sleeps: one RMW + one load.
+  /// releases every current sleeper of the gate.  The epoch bump is a
+  /// seq_cst RMW that doubles as the notify fence: a waiter racing into
+  /// its sleep either sees its new word or finds the epoch moved.  Cheap
+  /// when nobody sleeps: one RMW + one load.
   void notify_batch() noexcept {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-    wake_sleepers(&epoch_);
+    wake_sleepers();
   }
 
  private:
@@ -281,14 +261,14 @@ class CompletionGate {
 
   /// One FUTEX_WAIT_PRIVATE on `addr` while it still reads `observed`.
   static void futex_block(const void* addr, std::uint32_t observed) noexcept;
-  /// Broadcast: futex-wakes the word and notifies the condvar (a gate may
-  /// host either kind of sleeper; both paths are cheap when empty).
-  void wake_sleepers(const void* addr) noexcept;
+  /// Broadcast: futex-wakes the epoch and notifies the condvar (a gate
+  /// may host either kind of sleeper; both paths are cheap when empty).
+  void wake_sleepers() noexcept;
 
   std::atomic<std::uint32_t> sleepers_{0};
-  /// The shared sleep word of the coalesced path: await_coalesced waiters
-  /// futex-sleep here, notify_batch() bumps it.  Monotonic; wrap is
-  /// harmless (only equality against the observed value matters).
+  /// The futex sleep word: await/await_coalesced waiters futex-sleep
+  /// here, notify()/notify_batch() bump it.  Monotonic; wrap is harmless
+  /// (only equality against the observed value matters).
   std::atomic<std::uint32_t> epoch_{0};
   std::mutex mu_;
   std::condition_variable cv_;

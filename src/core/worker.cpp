@@ -146,21 +146,32 @@ void ZcWorker::main() {
         break;
       }
       if (cmd == SchedCmd::kPause) {
+        // Count the sleep before the CAS publishes kPaused, so whoever
+        // observes the paused state also observes its sleep.
+        stats_.worker_sleeps.add();
         WorkerState expected = WorkerState::kUnused;
-        if (status_.compare_exchange_strong(expected, WorkerState::kPaused,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-          stats_.worker_sleeps.add();
-          if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
-          std::unique_lock lock(mu_);
-          // Count every resume — spurious ones included — so wake storms
-          // show up in worker_wakeups, not just in syscall profiles.
-          while (cmd_.load(std::memory_order_acquire) == SchedCmd::kPause) {
-            cv_.wait(lock);
-            stats_.worker_wakeups.add();
-          }
-          status_.store(WorkerState::kUnused, std::memory_order_release);
+        if (!status_.compare_exchange_strong(expected, WorkerState::kPaused,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+          // A caller reserved the worker first: no sleep after all.
+          stats_.worker_sleeps.value.fetch_sub(1, std::memory_order_relaxed);
+          continue;
         }
+        if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
+        std::unique_lock lock(mu_);
+        // One wakeup per resume, counted when the pause ends (a resume
+        // landing between the kPaused CAS and cv_.wait() never waits, yet
+        // still pairs with the sleep above), plus one per spurious
+        // re-wait, so wake storms show up in worker_wakeups, not just in
+        // syscall profiles.
+        for (bool waited = false;
+             cmd_.load(std::memory_order_acquire) == SchedCmd::kPause;
+             waited = true) {
+          if (waited) stats_.worker_wakeups.add();  // spurious re-wait
+          cv_.wait(lock);
+        }
+        stats_.worker_wakeups.add();
+        status_.store(WorkerState::kUnused, std::memory_order_release);
         continue;
       }
     }

@@ -538,18 +538,21 @@ void ZcAsyncBackend::worker_main(Worker& w) {
     meter_slot = cfg_.meter->register_current_thread();
   }
 
-  // Parks under w.mu until `ready` holds.  Every resume — spurious ones
-  // included — counts a worker_wakeup, so wake storms are visible in the
-  // stats (the churn stress test pins the set_active_workers fix on this).
+  // Parks under w.mu until `ready` holds.  One worker_wakeup per park,
+  // counted when it ends (a wake landing before cv.wait() began never
+  // waits, yet still pairs with the sleep), plus one per spurious re-wait,
+  // so a wake storm (the set_active_workers bug the churn stress test
+  // pins) is visible in the stats, not just in syscalls.
   const auto park = [&](auto&& ready) {
     std::unique_lock lock(w.mu);
     w.parked.store(true, std::memory_order_seq_cst);
     stats_.worker_sleeps.add();
     if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
-    while (!ready()) {
+    for (bool waited = false; !ready(); waited = true) {
+      if (waited) stats_.worker_wakeups.add();  // spurious re-wait
       w.cv.wait(lock);
-      stats_.worker_wakeups.add();
     }
+    stats_.worker_wakeups.add();
     w.parked.store(false, std::memory_order_seq_cst);
   };
   // After a burst of completions, one coalesced broadcast releases every

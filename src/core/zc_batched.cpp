@@ -347,7 +347,19 @@ void ZcBatchedBackend::dispatch_slot(Slot& slot) {
   table.dispatch(header->fn_id, call);
 }
 
-void ZcBatchedBackend::flush(Worker& w) {
+ZcBatchedBackend::FlushCause ZcBatchedBackend::flush_cause(
+    const Sweep& sweep, WorkerCmd cmd, std::uint64_t flush_ns,
+    bool eager) const noexcept {
+  if (sweep.pending == 0) return FlushCause::kNone;
+  if (sweep.pending >= cfg_.batch) return FlushCause::kFull;
+  // A leaving worker drains; it never strands a caller.
+  if (cmd != WorkerCmd::kRun) return FlushCause::kCommand;
+  if (eager && !sweep.claimed) return FlushCause::kEager;
+  if (wall_ns() - sweep.oldest_ns >= flush_ns) return FlushCause::kWindow;
+  return FlushCause::kNone;
+}
+
+unsigned ZcBatchedBackend::flush(Worker& w) {
   unsigned completed = 0;
   for (auto& s : w.slots) {
     if (s->state.load(std::memory_order_acquire) != SlotState::kPending) {
@@ -366,13 +378,14 @@ void ZcBatchedBackend::flush(Worker& w) {
     stats_.wake_batches.add();
   }
   stats_.batch_flushes.add();
+  return completed;
 }
 
 // Ring-mode flush: serve the published run from the ring front.  The
 // PENDING -> EXECUTING CAS arbitrates against stop-racing callers serving
 // their own slot (its failure means the occupant is no longer ours: a
 // self-served or retired-empty cell — drop it from the claim order).
-void ZcBatchedBackend::flush_ring(Worker& w) {
+unsigned ZcBatchedBackend::flush_ring(Worker& w) {
   unsigned completed = 0;
   const std::size_t cap = w.ring->capacity();
   for (std::size_t n = 0; n < cap; ++n) {
@@ -391,11 +404,15 @@ void ZcBatchedBackend::flush_ring(Worker& w) {
     ++completed;
     if (!cfg_.coalesce && gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
   }
-  if (cfg_.coalesce && completed > 0 && gate_can_sleep(cfg_.wait)) {
+  // A pass that only dropped cells already served out of band (by the
+  // straggler sweep or a stop-racing caller) is not a flush.
+  if (completed == 0) return 0;
+  if (cfg_.coalesce && gate_can_sleep(cfg_.wait)) {
     w.gate.notify_batch();
     stats_.wake_batches.add();
   }
   stats_.batch_flushes.add();
+  return completed;
 }
 
 // Cold-path ring flush that serves publishes *out of claim order*: a gap
@@ -437,19 +454,21 @@ void ZcBatchedBackend::worker_main(Worker& w) {
     meter_slot = cfg_.meter->register_current_thread();
   }
 
-  // Parks under w.mu until `ready` holds.  Every resume — including one
-  // that finds the predicate still false — counts a worker_wakeup, so a
-  // spurious-wake storm (the set_active_workers bug this counts for the
-  // churn stress test) is visible in the stats, not just in syscalls.
+  // Parks under w.mu until `ready` holds.  One worker_wakeup per park,
+  // counted when it ends (a wake landing before cv.wait() began never
+  // waits, yet still pairs with the sleep), plus one per spurious re-wait,
+  // so a wake storm (the set_active_workers bug the churn stress test
+  // pins) is visible in the stats, not just in syscalls.
   const auto park = [&](auto&& ready) {
     std::unique_lock lock(w.mu);
     w.parked.store(true, std::memory_order_seq_cst);
     stats_.worker_sleeps.add();
     if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
-    while (!ready()) {
+    for (bool waited = false; !ready(); waited = true) {
+      if (waited) stats_.worker_wakeups.add();  // spurious re-wait
       w.cv.wait(lock);
-      stats_.worker_wakeups.add();
     }
+    stats_.worker_wakeups.add();
     w.parked.store(false, std::memory_order_seq_cst);
   };
 
@@ -461,6 +480,19 @@ void ZcBatchedBackend::worker_main(Worker& w) {
   // Donate the CPU once, immediately, instead of waiting for the 1024-
   // iteration courtesy yield below.
   bool just_flushed = false;
+  // Learned eager flush (see the header comment): off until a window
+  // flush serves a lone call.  Worker-local, so no sharing and no option.
+  bool eager = false;
+  // Flushes when the sweep calls for it; true when it did.
+  const auto flush_if_due = [&](const Sweep& sweep, WorkerCmd cmd,
+                                std::uint64_t flush_ns) {
+    const FlushCause cause = flush_cause(sweep, cmd, flush_ns, eager);
+    if (cause == FlushCause::kNone) return false;
+    const unsigned served = cfg_.ring ? flush_ring(w) : flush(w);
+    if (cause == FlushCause::kWindow && served == 1) eager = true;
+    just_flushed = true;
+    return true;
+  };
   for (;;) {
     const WorkerCmd cmd = w.cmd.load(std::memory_order_acquire);
     // Re-read per sweep: under flush=feedback the controller retunes the
@@ -476,17 +508,14 @@ void ZcBatchedBackend::worker_main(Worker& w) {
         continue;
       }
       if (front != nullptr) {
-        // Flush on a full published run, an expired flush timer, or any
-        // pause/exit command (a leaving worker drains; it never strands a
-        // caller).  O(1) oldest lookup: claim order is flush order.
-        const std::uint64_t oldest =
-            front->publish_ns.load(std::memory_order_relaxed);
-        if (w.ring->published_run() >= cfg_.batch ||
-            cmd != WorkerCmd::kRun || wall_ns() - oldest >= flush_ns) {
-          flush_ring(w);
-          just_flushed = true;
-          continue;
-        }
+        // O(1) oldest lookup: claim order is flush order.  A claimed cell
+        // past the published run is a producer mid-claim (or a gap that
+        // the straggler sweep resolves); either way, not eager-flushable.
+        Sweep sweep;
+        sweep.pending = w.ring->published_run();
+        sweep.claimed = w.ring->tail() - w.ring->head() != sweep.pending;
+        sweep.oldest_ns = front->publish_ns.load(std::memory_order_relaxed);
+        if (flush_if_due(sweep, cmd, flush_ns)) continue;
       } else if (cmd == WorkerCmd::kExit) {
         // The seq_cst flag read orders this final drain after every
         // publish whose producer still observed the backend running
@@ -518,27 +547,22 @@ void ZcBatchedBackend::worker_main(Worker& w) {
         continue;
       }
     } else {
-      unsigned pending = 0;
-      std::uint64_t oldest = ~std::uint64_t{0};
+      Sweep sweep;
+      sweep.oldest_ns = ~std::uint64_t{0};
       for (const auto& s : w.slots) {
-        if (s->state.load(std::memory_order_seq_cst) == SlotState::kPending) {
-          ++pending;
+        const SlotState state = s->state.load(std::memory_order_seq_cst);
+        if (state == SlotState::kClaimed) {
+          sweep.claimed = true;
+        } else if (state == SlotState::kPending) {
+          ++sweep.pending;
           const std::uint64_t t =
               s->publish_ns.load(std::memory_order_relaxed);
-          if (t < oldest) oldest = t;
+          if (t < sweep.oldest_ns) sweep.oldest_ns = t;
         }
       }
 
-      if (pending > 0) {
-        // Flush on a full buffer, an expired flush timer, or any
-        // pause/exit command (a leaving worker drains; it never strands a
-        // caller).
-        if (pending >= cfg_.batch || cmd != WorkerCmd::kRun ||
-            wall_ns() - oldest >= flush_ns) {
-          flush(w);
-          just_flushed = true;
-          continue;
-        }
+      if (sweep.pending > 0) {
+        if (flush_if_due(sweep, cmd, flush_ns)) continue;
       } else {
         if (just_flushed && cmd == WorkerCmd::kRun) {
           just_flushed = false;

@@ -7,9 +7,20 @@
 // their request into it and publish, then spin for their own slot's result.
 // The worker sweeps its buffer and executes *all* published requests in one
 // pass — one wakeup, one sweep, K calls — flushing when the buffer fills
-// (`batch=K`) or when the oldest published request has waited out the
-// flush window (so a lone caller is never stalled longer than the flush
-// timeout).
+// (`batch=K`), when the oldest published request has waited out the
+// flush window, or eagerly, as soon as nothing suggests that another
+// publisher is coming.
+//
+// The eager flush is Nagle's algorithm (RFC 896) learned per worker: a
+// worker starts out waiting, and a window flush that served exactly one
+// call — direct evidence that waiting bought nothing — switches it to
+// eager mode.  An eager worker flushes the moment its sweep sees pending
+// calls and no producer mid-claim (no kClaimed slot; in ring mode the
+// published run covers every claimed cell), so a lone synchronous caller
+// no longer pays the window on every call.  A producer caught mid-claim
+// still holds the flush until it publishes or the window expires, which
+// is what keeps concurrent publishes batching.  The window therefore
+// bounds only the wait for co-publishers that are expected.
 //
 // Two partial-flush policies pick that window:
 //  - timer (`flush_us=T`): a fixed window, the original design;
@@ -80,9 +91,11 @@ const char* to_string(BatchFlushPolicy policy) noexcept;
 struct ZcBatchedConfig {
   unsigned workers = 2;  ///< batch workers, each owning one buffer (> 0)
   unsigned batch = 8;    ///< slots per worker buffer; flush when full (> 0)
-  /// Max age of the oldest published request before a partial flush (the
-  /// fixed window under kTimer; the initial window and the anchor of the
-  /// [flush/8, flush*8] clamp under kFeedback).
+  /// Max age of the oldest published request before a partial flush: how
+  /// long a worker waits while co-publishers are expected (an eager
+  /// worker flushes at once when no producer is mid-claim).  The fixed
+  /// window under kTimer; the initial window and the anchor of the
+  /// [flush/8, flush*8] clamp under kFeedback.
   std::chrono::microseconds flush{100};
   BatchFlushPolicy flush_policy = BatchFlushPolicy::kTimer;
   /// Feedback controller period: how often the flush window is re-decided
@@ -215,13 +228,32 @@ class ZcBatchedBackend final : public CallBackend {
     std::jthread thread;
   };
 
+  /// What one worker sweep saw of its buffer, from either plane.
+  struct Sweep {
+    std::size_t pending = 0;      ///< published calls awaiting a flush
+    bool claimed = false;         ///< a producer is mid-marshal
+    std::uint64_t oldest_ns = 0;  ///< publish stamp of the oldest pending
+  };
+
+  enum class FlushCause : std::uint8_t {
+    kNone,     ///< keep waiting
+    kFull,     ///< `batch` calls pending
+    kCommand,  ///< pause/exit: a leaving worker drains
+    kEager,    ///< learned eager flush: nobody is mid-claim
+    kWindow,   ///< the oldest pending call waited out the flush window
+  };
+
+  /// The flush decision both planes share (see the header comment).
+  FlushCause flush_cause(const Sweep& sweep, WorkerCmd cmd,
+                         std::uint64_t flush_ns, bool eager) const noexcept;
+
   static void wake(Worker& w);
   void worker_main(Worker& w);
-  void flush(Worker& w);
+  unsigned flush(Worker& w);
   void dispatch_slot(Slot& slot);
   void await_done(Worker& w, Slot& slot);
   bool try_invoke_ring(const CallDesc& desc, unsigned m);
-  void flush_ring(Worker& w);
+  unsigned flush_ring(Worker& w);
   void flush_ring_stragglers(Worker& w);
   void controller_main(const std::stop_token& st);
   void execute_regular(const CallDesc& desc);

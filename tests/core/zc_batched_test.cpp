@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -537,6 +538,117 @@ INSTANTIATE_TEST_SUITE_P(
         SubmitPlane{"ring_coalesce_condvar", true, true,
                     GateWaitPolicy::kCondvar}),
     [](const auto& info) { return std::string(info.param.tag); });
+
+// --- Learned eager flush ----------------------------------------------------
+
+// Both submit planes share the flush decision, so each eager-flush case
+// runs over the table scan and the MPSC ring.
+class ZcBatchedEagerTest : public ZcBatchedTest,
+                           public ::testing::WithParamInterface<bool> {
+ protected:
+  ZcBatchedConfig eager_config() {
+    ZcBatchedConfig cfg;
+    cfg.workers = 1;
+    cfg.batch = 8;  // never fills in these cases
+    cfg.flush = 200ms;
+    cfg.ring = GetParam();
+    return cfg;
+  }
+};
+
+TEST_P(ZcBatchedEagerTest, LoneSequentialCallerPaysTheWindowOnce) {
+  // The first call waits out the window and, having been served alone,
+  // switches the worker to eager mode; the other 19 flush on publish.
+  // Without the eager flush the loop takes 20 windows.
+  auto* backend = install(eager_config());
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    EchoArgs args;
+    args.in = i;
+    ASSERT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
+    ASSERT_EQ(args.out, i + 1);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2 * 200ms);
+  EXPECT_EQ(backend->flushes(), 20u);
+}
+
+// Single-copy producer that signals it is mid-marshal (its slot claimed,
+// not yet published) and holds there until released.
+struct HeldProducer {
+  std::atomic<bool> inside{false};
+  std::atomic<bool> release{false};
+
+  static void produce(void* dst, std::size_t n, void* ctx) {
+    auto* self = static_cast<HeldProducer*>(ctx);
+    std::memset(dst, 0x5A, n);
+    self->inside.store(true, std::memory_order_seq_cst);
+    while (!self->release.load(std::memory_order_seq_cst)) {
+      std::this_thread::yield();
+    }
+  }
+};
+
+TEST_P(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
+  ZcBatchedConfig cfg = eager_config();
+  cfg.copy = CopyMode::kSingle;
+  auto* backend = install(cfg);
+
+  // Prime: a lone call served by the window makes the worker eager.
+  EchoArgs prime;
+  ASSERT_EQ(enclave_->ocall(echo_id_, prime), CallPath::kSwitchless);
+  ASSERT_EQ(backend->flushes(), 1u);
+
+  // B claims first, then A; both hold mid-marshal.  B is released and
+  // publishes while A's slot is still claimed, so the eager worker must
+  // hold B's flush until A publishes: one flush for both calls.  (B
+  // first also keeps the ring's straggler sweep out of it: B is at the
+  // ring front, so there is no publish-order gap to serve around.)
+  const auto run = [&](HeldProducer& held, EchoArgs& args,
+                       std::atomic<bool>& done) {
+    CallDesc desc;
+    desc.fn_id = echo_id_;
+    desc.args = &args;
+    desc.args_size = sizeof(args);
+    desc.produce_in = &HeldProducer::produce;
+    desc.in_size = 64;
+    desc.inplace_ctx = &held;
+    EXPECT_EQ(enclave_->ocall(desc), CallPath::kSwitchless);
+    done.store(true, std::memory_order_seq_cst);
+  };
+  HeldProducer held_a;
+  HeldProducer held_b;
+  EchoArgs args_a;
+  EchoArgs args_b;
+  args_a.in = 10;
+  args_b.in = 20;
+  std::atomic<bool> done_a{false};
+  std::atomic<bool> done_b{false};
+  std::jthread b([&] { run(held_b, args_b, done_b); });
+  while (!held_b.inside.load()) std::this_thread::yield();
+  std::jthread a([&] { run(held_a, args_a, done_a); });
+  while (!held_a.inside.load()) std::this_thread::yield();
+
+  held_b.release.store(true);
+  std::this_thread::sleep_for(20ms);  // B publishes; A stays mid-claim
+  EXPECT_FALSE(done_b.load());
+  EXPECT_EQ(backend->flushes(), 1u);
+
+  held_a.release.store(true);
+  a.join();
+  b.join();
+  EXPECT_TRUE(done_a.load());
+  EXPECT_TRUE(done_b.load());
+  EXPECT_EQ(args_a.out, 11u);
+  EXPECT_EQ(args_b.out, 21u);
+  EXPECT_EQ(backend->flushes(), 2u);
+  EXPECT_EQ(backend->stats().switchless_calls.load(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(TableAndRing, ZcBatchedEagerTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return std::string(info.param ? "ring" : "table");
+                         });
 
 TEST_F(ZcBatchedTest, RingOptionsReachTheBackendFromTheSpecPlane) {
   install_backend_spec(*enclave_,
