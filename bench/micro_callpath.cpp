@@ -3,9 +3,7 @@
 // vs Intel switchless, the batched caller's yield-vs-spin wait policies,
 // the CompletionGate blocked-caller policies head to head (BM_GatePolicy:
 // spin vs yield vs futex vs condvar; JSONL rows keyed lane=gate_policy),
-// batch-wake coalescing (BM_GateBatchWake: N per-slot notifies vs one
-// notify_batch; lane=gate_batch), pipelined concurrent callers through
-// the batched plane with and without coalesced flush wakes
+// pipelined concurrent callers through the batched plane
 // (BM_BatchedPipelined: p50/p99; lane=batched_pipelined), and the two
 // tlibc memcpy implementations.
 //
@@ -30,7 +28,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <barrier>
 #include <cstdlib>
@@ -38,6 +35,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,37 +88,20 @@ std::map<std::string, GateRow>& gate_rows() {
   static std::map<std::string, GateRow> rows;
   return rows;
 }
-// --json rows of the BM_GateBatchWake lane: waking a whole batch of
-// sleepers with per-slot notifies vs one coalesced notify_batch().
-struct GateBatchRow {
-  std::string mode;
-  unsigned sleepers = 0;
-  std::uint64_t iterations = 0;
-  double seconds = 0;
-  std::uint64_t sleeps = 0;
-  std::uint64_t wakeups = 0;
-};
-std::map<std::string, GateBatchRow>& gate_batch_rows() {
-  static std::map<std::string, GateBatchRow> rows;
-  return rows;
-}
-
-// --json rows of the BM_BatchedPipelined lane: concurrent callers through
-// zc_batched wait=futex with and without coalesced flush wakes.
+// --json row of the BM_BatchedPipelined lane: concurrent callers through
+// zc_batched wait=futex (last calibration pass wins).
 struct PipelinedRow {
-  std::string mode;
   unsigned callers = 0;
   std::uint64_t calls = 0;
   double p50_ns = 0;
   double p99_ns = 0;
-  std::uint64_t wake_batches = 0;
   std::uint64_t caller_wakeups = 0;
   std::uint64_t batch_flushes = 0;
   double batch_fill = 0;  ///< switchless calls per flush
 };
-std::map<std::string, PipelinedRow>& pipelined_rows() {
-  static std::map<std::string, PipelinedRow> rows;
-  return rows;
+std::optional<PipelinedRow>& pipelined_row() {
+  static std::optional<PipelinedRow> row;
+  return row;
 }
 
 unsigned g_pipeline = 1;
@@ -324,96 +305,16 @@ BENCHMARK(BM_GatePolicy)
     ->Arg(static_cast<int>(GateWaitPolicy::kFutex))
     ->Arg(static_cast<int>(GateWaitPolicy::kCondvar));
 
-// The coalesced-wake primitive head to head with per-slot notifies: N
-// sleeper threads each block (spin budget 0, wait=futex) on a private
-// word through one shared gate; each iteration completes all N words and
-// wakes them — with N notify() calls (range(0)=0) or one notify_batch()
-// (range(0)=1).  One iteration is one full batch round trip, so the
-// per-iteration delta is the wake-side saving a zc_batched flush or
-// zc_async drain run gets from coalescing.  JSONL rows: lane=gate_batch.
-void BM_GateBatchWake(benchmark::State& state) {
-  const bool coalesced = state.range(0) != 0;
-  constexpr unsigned kSleepers = 8;
-  CompletionGate gate;
-  BackendStats stats;
-  const GateCounters counters{&stats.caller_yields, &stats.caller_sleeps,
-                              &stats.caller_wakeups};
-  std::array<std::atomic<std::uint32_t>, kSleepers> words{};
-  std::atomic<std::uint32_t> acks{0};
-  std::atomic<bool> stop{false};
-  std::vector<std::jthread> sleepers;
-  for (unsigned t = 0; t < kSleepers; ++t) {
-    sleepers.emplace_back([&, t] {
-      for (std::uint32_t round = 1; !stop.load(std::memory_order_seq_cst);
-           ++round) {
-        auto ready = [&](std::uint32_t v) {
-          return v >= round || stop.load(std::memory_order_seq_cst);
-        };
-        if (coalesced) {
-          gate.await_coalesced(words[t], ready, GateWaitPolicy::kFutex,
-                               std::chrono::microseconds{0}, counters);
-        } else {
-          gate.await(words[t], ready, GateWaitPolicy::kFutex,
-                     std::chrono::microseconds{0}, counters);
-        }
-        acks.fetch_add(1, std::memory_order_seq_cst);
-      }
-    });
-  }
-  std::uint32_t round = 0;
-  const std::uint64_t t0 = wall_ns();
-  for (auto _ : state) {
-    ++round;
-    for (auto& w : words) w.store(round, std::memory_order_seq_cst);
-    if (coalesced) {
-      gate.notify_batch();
-    } else {
-      for (auto& w : words) gate.notify(w);
-    }
-    // The round trip ends when every sleeper has re-armed for the next
-    // round — the same publish/collect cadence as a batched flush.
-    const std::uint32_t target = round * kSleepers;
-    while (acks.load(std::memory_order_seq_cst) < target) cpu_pause();
-  }
-  const double seconds = static_cast<double>(wall_ns() - t0) * 1e-9;
-  stop.store(true, std::memory_order_seq_cst);
-  ++round;
-  for (auto& w : words) w.store(round, std::memory_order_seq_cst);
-  gate.notify_batch();
-  for (auto& w : words) gate.notify(w);
-  sleepers.clear();
-  state.SetLabel(coalesced ? "coalesced" : "per_slot");
-  state.counters["sleeps_per_batch"] = benchmark::Counter(
-      static_cast<double>(stats.caller_sleeps.load()),
-      benchmark::Counter::kAvgIterations);
-  GateBatchRow row;
-  row.mode = coalesced ? "coalesced" : "per_slot";
-  row.sleepers = kSleepers;
-  row.iterations = static_cast<std::uint64_t>(state.iterations());
-  row.seconds = seconds;
-  row.sleeps = stats.caller_sleeps.load();
-  row.wakeups = stats.caller_wakeups.load();
-  gate_batch_rows()[row.mode] = row;
-}
-BENCHMARK(BM_GateBatchWake)->Arg(0)->Arg(1);
-
-// The end-to-end shape the coalesced wake exists for: many concurrent
-// callers pipelined into one zc_batched worker (batch == callers == 16,
-// wait=futex, spin_us=0 so every caller sleeps), flushes releasing whole
-// batches.  Each call carries ~2 µs of handler work, the regime batching
-// exists for: the flush's execution phase is long enough that per_slot's
-// mid-flush wakes hand the only CPU to a freshly woken caller after
-// *every* slot (wake-preemption), stretching the tail of the batch —
-// every later slot's caller pays the preempted caller's resubmit on top
-// of the remaining executes.  Coalescing executes the whole batch
-// uninterrupted and pays one wake at the end, so the batch tail (p99)
-// shortens; the mean can still favour per_slot on a 1-CPU host, where
-// wake-preemption overlaps caller resubmits with the flush for free.
-// Per-call latencies are collected and reduced to p50/p99 after the run
-// — the wake fan-out is precisely a tail-latency effect.  JSONL rows:
+// Many concurrent callers pipelined into one zc_batched worker (batch ==
+// callers == 16, wait=futex, spin_us=0 so every caller sleeps), flushes
+// releasing whole batches through per-slot gate notifies.  Each call
+// carries ~2 µs of handler work, the regime batching exists for: a
+// flush's execution phase is long enough that each mid-flush wake can
+// hand the CPU to a freshly woken caller, stretching the tail of the
+// batch.  Per-call latencies are collected and reduced to p50/p99 after
+// the run — the pipelined p99 is a tail-latency effect.  JSONL rows:
 // lane=batched_pipelined.
 void BM_BatchedPipelined(benchmark::State& state) {
-  const bool coalesced = state.range(0) != 0;
   constexpr unsigned kCallers = 16;
   constexpr std::uint64_t kCallsPerIter = 64;
   Fixture f;
@@ -424,11 +325,9 @@ void BM_BatchedPipelined(benchmark::State& state) {
           cpu_pause();
         }
       });
-  install_backend_spec(
-      *f.enclave,
-      std::string("zc_batched:workers=1;batch=16;flush_us=50;wait=futex;"
-                  "spin_us=0;ring=on;coalesce=") +
-          (coalesced ? "on" : "off"));
+  install_backend_spec(*f.enclave,
+                       "zc_batched:workers=1;batch=16;flush_us=50;wait=futex;"
+                       "spin_us=0");
   std::vector<std::vector<std::uint64_t>> lat(kCallers);
   std::barrier sync(kCallers + 1);
   std::atomic<bool> stop{false};
@@ -464,25 +363,22 @@ void BM_BatchedPipelined(benchmark::State& state) {
         q * static_cast<double>(all.size() - 1));
     return static_cast<double>(all[i]);
   };
-  state.SetLabel(coalesced ? "coalesced" : "per_slot");
   state.counters["p99_ns"] = benchmark::Counter(pct(0.99));
   const BackendStatsSnapshot snap = f.enclave->backend().stats_snapshot();
   PipelinedRow row;
-  row.mode = coalesced ? "coalesced" : "per_slot";
   row.callers = kCallers;
   row.calls = all.size();
   row.p50_ns = pct(0.50);
   row.p99_ns = pct(0.99);
-  row.wake_batches = snap.wake_batches;
   row.caller_wakeups = snap.caller_wakeups;
   row.batch_flushes = snap.batch_flushes;
   if (snap.batch_flushes != 0) {
     row.batch_fill = static_cast<double>(snap.switchless_calls) /
                      static_cast<double>(snap.batch_flushes);
   }
-  pipelined_rows()[row.mode] = row;
+  pipelined_row() = row;
 }
-BENCHMARK(BM_BatchedPipelined)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_BatchedPipelined)->Unit(benchmark::kMicrosecond);
 
 // One call per iteration through an arbitrary registry spec; with a
 // pipeline depth D > 1 the spec's async plane keeps D calls in flight and
@@ -735,37 +631,17 @@ int main(int argc, char** argv) {
                  .str()
           << '\n';
     }
-    for (const auto& [key, row] : gate_batch_rows()) {
-      const double per_batch =
-          row.iterations > 0
-              ? row.seconds / static_cast<double>(row.iterations)
-              : 0.0;
-      out << zc::bench::JsonRow()
-                 .set("figure", "micro_callpath")
-                 .set("lane", "gate_batch")
-                 .set("mode", row.mode)
-                 .set("sleepers", static_cast<std::uint64_t>(row.sleepers))
-                 .set("iterations", row.iterations)
-                 .set("seconds", row.seconds)
-                 .set("ns_per_batch", per_batch * 1e9)
-                 .set("sleeps", row.sleeps)
-                 .set("wakeups", row.wakeups)
-                 .str()
-          << '\n';
-    }
-    for (const auto& [key, row] : pipelined_rows()) {
+    if (const auto& row = pipelined_row()) {
       out << zc::bench::JsonRow()
                  .set("figure", "micro_callpath")
                  .set("lane", "batched_pipelined")
-                 .set("mode", row.mode)
-                 .set("callers", static_cast<std::uint64_t>(row.callers))
-                 .set("calls", row.calls)
-                 .set("p50_ns", row.p50_ns)
-                 .set("p99_ns", row.p99_ns)
-                 .set("wake_batches", row.wake_batches)
-                 .set("caller_wakeups", row.caller_wakeups)
-                 .set("batch_flushes", row.batch_flushes)
-                 .set("batch_fill", row.batch_fill)
+                 .set("callers", static_cast<std::uint64_t>(row->callers))
+                 .set("calls", row->calls)
+                 .set("p50_ns", row->p50_ns)
+                 .set("p99_ns", row->p99_ns)
+                 .set("caller_wakeups", row->caller_wakeups)
+                 .set("batch_flushes", row->batch_flushes)
+                 .set("batch_fill", row->batch_fill)
                  .str()
           << '\n';
     }

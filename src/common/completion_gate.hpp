@@ -42,15 +42,6 @@
 // with a non-sleeping policy the waker side can skip notify() entirely
 // (gate_can_sleep()).  Predicates are re-evaluated after every wake-up,
 // so spurious futex returns and condvar wake-ups are harmless.
-//
-// Wake coalescing: a worker that completes a whole batch at once (the
-// batched flush, the async drain run) would pay one futex wake — ~2.2 µs
-// measured by BM_GatePolicy — per slot with a gate per slot.  When the
-// waiters share one gate instead (await_coalesced(), each with its own
-// state word and predicate), a single notify_batch() (one futex wake /
-// one condvar broadcast) releases every current sleeper; each re-checks
-// its own predicate and the ones whose slots completed return while any
-// others go back to sleep on the new epoch.
 #pragma once
 
 #include <atomic>
@@ -166,16 +157,6 @@ class CompletionGate {
     if (slept && counters.wakeups != nullptr) counters.wakeups->add();
   }
 
-  /// The wait of a gate shared by several waiters (a worker's callers
-  /// under coalesce=on); the same wait as await(), named for the call
-  /// sites that pair it with one notify_batch() per completed batch.
-  template <typename T, typename Pred>
-  void await_coalesced(const std::atomic<T>& word, Pred&& pred,
-                       GateWaitPolicy policy, std::chrono::microseconds spin,
-                       const GateCounters& counters) {
-    await(word, pred, policy, spin, counters);
-  }
-
   /// Waker side: call after storing the new word value (or flipping any
   /// other state the waiter's predicate reads).  No-ops (one fence + one
   /// relaxed load) while nobody is sleeping; otherwise bumps the epoch
@@ -187,18 +168,6 @@ class CompletionGate {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_relaxed) == 0) return;
     epoch_.fetch_add(1, std::memory_order_seq_cst);
-    wake_sleepers();
-  }
-
-  /// Coalesced waker side: call once after storing *all* the word values
-  /// of a completed batch.  One futex wake (or one condvar broadcast)
-  /// releases every current sleeper of the gate.  The epoch bump is a
-  /// seq_cst RMW that doubles as the notify fence: a waiter racing into
-  /// its sleep either sees its new word or finds the epoch moved.  Cheap
-  /// when nobody sleeps: one RMW + one load.
-  void notify_batch() noexcept {
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
     wake_sleepers();
   }
 
@@ -266,8 +235,8 @@ class CompletionGate {
   void wake_sleepers() noexcept;
 
   std::atomic<std::uint32_t> sleepers_{0};
-  /// The futex sleep word: await/await_coalesced waiters futex-sleep
-  /// here, notify()/notify_batch() bump it.  Monotonic; wrap is harmless
+  /// The futex sleep word: await() waiters futex-sleep here, notify()
+  /// bumps it.  Monotonic; wrap is harmless
   /// (only equality against the observed value matters).
   std::atomic<std::uint32_t> epoch_{0};
   std::mutex mu_;

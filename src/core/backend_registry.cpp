@@ -602,14 +602,6 @@ std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
   }
   cfg.pool = parse_pool(spec, cfg.pool);
   cfg.copy = parse_copy(spec, cfg.copy);
-  cfg.ring = spec.get_bool("ring", cfg.ring);
-  cfg.coalesce = spec.get_bool("coalesce", cfg.coalesce);
-  if (cfg.coalesce && !gate_can_sleep(cfg.wait)) {
-    throw BackendSpecError(
-        "zc_batched: coalesce=on batches *sleeper* wake-ups; it needs "
-        "wait=futex or wait=condvar (spin/yield callers never sleep, so "
-        "there is nothing to coalesce)");
-  }
   return make_zc_batched_backend(enclave, std::move(cfg));
 }
 
@@ -641,8 +633,6 @@ std::unique_ptr<CallBackend> build_zc_async(Enclave& enclave,
   }
   cfg.pool = parse_pool(spec, cfg.pool);
   cfg.copy = parse_copy(spec, cfg.copy);
-  cfg.ring = spec.get_bool("ring", cfg.ring);
-  cfg.coalesce = spec.get_bool("coalesce", cfg.coalesce);
   return make_zc_async_backend(enclave, std::move(cfg));
 }
 
@@ -787,15 +777,14 @@ BackendRegistry& BackendRegistry::instance() {
          "ZC with per-worker batch buffers flushed on batch=K, flush_us=T "
          "or the adaptive flush=feedback window",
          {"workers", "batch", "flush", "flush_us", "quantum_us", "spin_us",
-          "wait", "pool_bytes", "pool", "copy", "ring", "coalesce",
-          "direction"},
+          "wait", "pool_bytes", "pool", "copy", "direction"},
          build_zc_batched});
     r->register_backend(
         {"zc_async",
          "future-based ZC: submit()/wait() futures, futex/condvar "
          "completion, no caller spin",
-         {"workers", "queue", "pool_bytes", "pool", "copy", "wait", "ring",
-          "coalesce", "direction"},
+         {"workers", "queue", "pool_bytes", "pool", "copy", "wait",
+          "direction"},
          build_zc_async});
     r->register_backend(
         {"record",

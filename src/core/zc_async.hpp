@@ -6,8 +6,9 @@
 // marshal, publish, return a CallFuture — and `wait()`/`poll()` on that
 // future, with workers signalling completion through a per-slot seq_cst
 // state word plus a per-slot CompletionGate (condvar by default, futex
-// with `wait=futex`), so a waiting caller sleeps instead of spinning.  That opens the pipelined workload class (D in-flight calls
-// per caller) that no synchronous backend can express, while the plain
+// with `wait=futex`), so a waiting caller sleeps instead of spinning.
+// That opens the pipelined workload class (D in-flight calls per caller)
+// that no synchronous backend can express, while the plain
 // `CallBackend::call()` contract is preserved as submit()+wait(), so the
 // backend slots into the registry, `install_backend_spec`, the
 // `direction=ecall` plane and the equivalence suite unchanged.
@@ -31,12 +32,6 @@
 // active), submit() executes the call inline as a regular fallback and
 // returns an already-completed future — no call is ever queued without a
 // slot, lost, or spun for.
-//
-// Two hot-path variants are spec-selectable (`ring=`/`coalesce=`, see
-// ZcAsyncConfig): per-worker lock-free MPSC submit rings in place of the
-// table CAS-scan, and coalesced completion wakes (one notify_batch() per
-// worker drain run in place of per-call notifies).  Both default off, so
-// the legacy path stays A/B-able spec-for-spec.
 #pragma once
 
 #include <atomic>
@@ -49,7 +44,6 @@
 
 #include "common/completion_gate.hpp"
 #include "common/cpu_meter.hpp"
-#include "common/mpsc_ring.hpp"
 #include "common/pool.hpp"
 #include "sgx/enclave.hpp"
 
@@ -71,30 +65,14 @@ struct ZcAsyncConfig {
   /// The async plane never busy-waits, so spin/yield are rejected at the
   /// spec layer.
   GateWaitPolicy wait = GateWaitPolicy::kCondvar;
-  /// Lock-free MPSC submit ring per worker instead of the shared
-  /// completion-table CAS-scan: a submit is one CAS on its worker's ring
-  /// tail, and the worker pops published entries in O(1) instead of
-  /// sweeping the whole table.  `queue` slots are split evenly across the
-  /// workers (each share rounded up to a power of two); FutureHandle then
-  /// encodes {worker index, ring ticket} instead of {table index,
-  /// generation} — the seqlock ABA protection carries over because a ring
-  /// ticket is just as unrepeatable as a bumped generation.
-  bool ring = false;
-  /// One coalesced wake broadcast per worker drain run instead of one
-  /// notify per completed call: collectors sleep on the backend's shared
-  /// gate (await_coalesced) and a single notify_batch() releases the whole
-  /// run's waiters (BackendStats::wake_batches counts the broadcasts).
-  bool coalesce = false;
   CpuUsageMeter* meter = nullptr;
   CallDirection direction = CallDirection::kOcall;
 };
 
 /// The raw identity of an in-flight call: slot index + the generation the
-/// slot had when the call was submitted (under `ring=on`: worker index +
-/// the ring ticket, which plays the generation's ABA-protection role).
-/// Copyable; used by tests to probe ABA protection.  `slot == kInline`
-/// marks a call that completed inside submit() (fallback/regular) and
-/// never occupied a table slot.
+/// slot had when the call was submitted.  Copyable; used by tests to probe
+/// ABA protection.  `slot == kInline` marks a call that completed inside
+/// submit() (fallback/regular) and never occupied a table slot.
 struct FutureHandle {
   static constexpr std::uint32_t kInline = ~std::uint32_t{0};
   std::uint32_t slot = kInline;
@@ -198,10 +176,10 @@ class ZcAsyncBackend final : public CallBackend {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Completion-table capacity (the `queue=` spec option).  Under ring=on
-  /// this is the summed ring capacity (each worker's share of `queue`,
-  /// rounded up to a power of two).
-  unsigned queue_depth() const noexcept;
+  /// Completion-table capacity (the `queue=` spec option).
+  unsigned queue_depth() const noexcept {
+    return static_cast<unsigned>(slots_.size());
+  }
 
   /// Test hook: plants the rotating-claim counter (wraparound regression
   /// tests start it just below the old 32-bit boundary).
@@ -253,11 +231,6 @@ class ZcAsyncBackend final : public CallBackend {
     std::atomic<bool> abandoned{false};
     CallDesc desc;          ///< caller-side descriptor; ordered by `state`
     void* frame = nullptr;  ///< marshalled request; ordered by `state`
-    /// Ring mode: the current occupancy's ticket and owning worker —
-    /// release_slot() needs them to recycle the cell.  Written at claim
-    /// (exclusive ownership), read only by the releasing party.
-    std::uint64_t ring_ticket = 0;
-    std::uint32_t ring_owner = 0;
     BumpPool pool;
     std::mutex mu;        ///< abandon/release serialisation
     CompletionGate gate;  ///< the waiter's sleep on `state` (kDone)
@@ -266,8 +239,6 @@ class ZcAsyncBackend final : public CallBackend {
   enum class WorkerCmd : std::uint32_t { kRun = 0, kPause, kExit };
 
   struct Worker {
-    /// Ring mode: this worker's lock-free submit ring (null otherwise).
-    std::unique_ptr<MpscSlotRing<Slot>> ring;
     std::atomic<WorkerCmd> cmd{WorkerCmd::kRun};
     std::atomic<bool> parked{false};
     std::mutex mu;
@@ -279,19 +250,10 @@ class ZcAsyncBackend final : public CallBackend {
   void wake_a_worker();
   void worker_main(Worker& w);
   Slot* sweep_claim();
-  /// Dispatches one claimed (kExecuting) slot and publishes kDone; true
-  /// when completion was published (false: abandoned, released in place).
-  /// defer_notify suppresses the per-slot gate notify — the coalescing
-  /// drain broadcasts once for the whole run instead.
-  bool execute_slot(Slot& slot, bool defer_notify);
+  /// Dispatches one claimed (kExecuting) slot and publishes kDone (or,
+  /// when the call was abandoned, releases the slot in place).
+  void execute_slot(Slot& slot);
   void release_slot(Slot& slot);
-  /// The slot a live handle refers to (table slot, or ring cell by the
-  /// handle's worker/ticket pair under ring mode).
-  Slot& handle_slot(FutureHandle h) const noexcept;
-  bool try_submit_ring(const CallDesc& desc, unsigned m, FutureHandle& out);
-  /// Serves published ring entries out of claim order (pause/exit drains
-  /// and publish-order gaps); returns completions published.
-  unsigned drain_ring_stragglers(Worker& w);
   bool any_queued() const;
   void execute_regular(const CallDesc& desc);
   CallFuture inline_fallback(const CallDesc& desc);
@@ -306,19 +268,15 @@ class ZcAsyncBackend final : public CallBackend {
   Enclave& enclave_;
   ZcAsyncConfig cfg_;
   std::unique_ptr<SlabPool> slab_;  ///< frame slabs when pool=slab
-  std::vector<std::unique_ptr<Slot>> slots_;  ///< table mode (empty: ring)
+  std::vector<std::unique_ptr<Slot>> slots_;  ///< the completion table
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<unsigned> active_count_{0};
-  /// Rotating claim start.  64-bit on purpose (satellite of the ticket-
-  /// wraparound fix): the old 32-bit counter overflowed mid-scan at 2^32,
-  /// and a 32-bit rotation seed folded into slot reuse patterns that a
-  /// stale CallFuture could alias; the force-wrap regression test starts
-  /// the counter just below the boundary.
+  /// Rotating claim start.  64-bit so the probe index `(first + i) % n`
+  /// never jumps at a wraparound mid-scan (a 32-bit counter would overflow
+  /// at 2^32); the force-wrap regression test starts the counter just
+  /// below that boundary.
   std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
-  /// coalesce=on: the one gate every collector sleeps on; workers issue
-  /// one notify_batch() per drain run instead of per-slot notifies.
-  CompletionGate coalesce_gate_;
 };
 
 std::unique_ptr<ZcAsyncBackend> make_zc_async_backend(Enclave& enclave,

@@ -17,12 +17,7 @@ const char* to_string(BatchFlushPolicy policy) noexcept {
   return "?";
 }
 
-ZcBatchedBackend::Worker::Worker(unsigned batch, std::size_t pool_bytes,
-                                 bool use_ring) {
-  if (use_ring) {
-    ring = std::make_unique<MpscSlotRing<Slot>>(batch, 0, pool_bytes);
-    return;
-  }
+ZcBatchedBackend::Worker::Worker(unsigned batch, std::size_t pool_bytes) {
   slots.reserve(batch);
   for (unsigned i = 0; i < batch; ++i) {
     slots.push_back(std::make_unique<Slot>(pool_bytes));
@@ -52,7 +47,7 @@ ZcBatchedBackend::ZcBatchedBackend(Enclave& enclave, ZcBatchedConfig cfg)
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     workers_.push_back(
-        std::make_unique<Worker>(cfg_.batch, cfg_.slot_pool_bytes, cfg_.ring));
+        std::make_unique<Worker>(cfg_.batch, cfg_.slot_pool_bytes));
   }
 }
 
@@ -168,10 +163,8 @@ CallPath ZcBatchedBackend::fallback(const CallDesc& desc) {
   return CallPath::kFallback;
 }
 
-// The caller's wait for its slot's kDone: per-slot gate normally; the
-// worker's shared gate via the coalesced path under coalesce=on (so one
-// flush-side notify_batch() releases every sleeper of the batch).
-void ZcBatchedBackend::await_done(Worker& w, Slot& slot) {
+// The caller's wait for its slot's kDone on the slot's own gate.
+void ZcBatchedBackend::await_done(Slot& slot) {
   // A batching caller is by definition willing to wait out the flush
   // window, so once the spin budget (`spin_us=`) expires it donates its
   // quantum (wait=yield, the default) or sleeps until the flushing
@@ -180,11 +173,7 @@ void ZcBatchedBackend::await_done(Worker& w, Slot& slot) {
   const GateCounters counters{&stats_.caller_yields, &stats_.caller_sleeps,
                               &stats_.caller_wakeups};
   const auto done = [](SlotState s) { return s == SlotState::kDone; };
-  if (cfg_.coalesce) {
-    w.gate.await_coalesced(slot.state, done, cfg_.wait, cfg_.spin, counters);
-  } else {
-    slot.gate.await(slot.state, done, cfg_.wait, cfg_.spin, counters);
-  }
+  slot.gate.await(slot.state, done, cfg_.wait, cfg_.spin, counters);
 }
 
 bool ZcBatchedBackend::try_invoke_switchless(const CallDesc& desc) {
@@ -192,8 +181,6 @@ bool ZcBatchedBackend::try_invoke_switchless(const CallDesc& desc) {
 
   const unsigned m = active_count_.load(std::memory_order_acquire);
   if (m == 0) return false;
-
-  if (cfg_.ring) return try_invoke_ring(desc, m);
 
   // Claim a free slot on an active worker, starting from a rotating index
   // so concurrent callers spread across buffers.  No free slot anywhere:
@@ -245,66 +232,11 @@ bool ZcBatchedBackend::try_invoke_switchless(const CallDesc& desc) {
   slot->state.store(SlotState::kPending, std::memory_order_seq_cst);
   if (worker->parked.load(std::memory_order_seq_cst)) wake(*worker);
 
-  await_done(*worker, *slot);
-  unmarshal_from(call, desc);
-  slot->state.store(SlotState::kEmpty, std::memory_order_release);
-  if (slab_ != nullptr) slab_->free(mem);
-  const std::uint64_t elided = copies_elided_by(desc);
-  if (elided != 0) stats_.copies_elided.add(elided);
-  stats_.in_flight.sub();
-  stats_.switchless_calls.add();
-  return true;
-}
-
-// Ring-mode submit: one CAS on a ring tail claims a cell; no slot-table
-// scan, no shared lock.  The claim order doubles as the flush order, so
-// the worker's oldest-pending lookup is the ring front.
-bool ZcBatchedBackend::try_invoke_ring(const CallDesc& desc, unsigned m) {
-  Slot* slot = nullptr;
-  Worker* worker = nullptr;
-  std::uint64_t ticket = 0;
-  const std::uint64_t first = ticket_.fetch_add(1, std::memory_order_relaxed);
-  for (std::uint64_t i = 0; i < m && slot == nullptr; ++i) {
-    Worker& candidate = *workers_[(first + i) % m];
-    slot = candidate.ring->try_claim(ticket);
-    if (slot != nullptr) worker = &candidate;
-  }
-  if (slot == nullptr) return false;
-
-  void* mem = nullptr;
-  if (slab_ != nullptr) {
-    mem = slab_->allocate(frame_bytes(desc));
-  } else {
-    slot->pool.reset();  // single-request pool: fresh for every claim
-    mem = slot->pool.allocate(frame_bytes(desc), 64);
-  }
-  if (mem == nullptr) {
-    // Request larger than the slot pool: cannot go switchless.  A claimed
-    // ring cell cannot be un-claimed, so retire it empty: publish +
-    // recycle moves the cell's seq past this ticket and the consumer
-    // skips it without ever seeing a kPending state.
-    slot->state.store(SlotState::kEmpty, std::memory_order_release);
-    worker->ring->publish(ticket);
-    worker->ring->recycle(ticket);
-    return false;
-  }
-
-  stats_.in_flight.add();
-  MarshalledCall call = marshal_into(mem, desc);
-  slot->frame = mem;
-  slot->publish_ns.store(wall_ns(), std::memory_order_relaxed);
-  // State before seq: once publish() lands, the worker may act on the
-  // slot, and the seq_cst publish pairs with the worker's seq_cst
-  // park/sweep sequence exactly like the table path's kPending store.
-  slot->state.store(SlotState::kPending, std::memory_order_seq_cst);
-  worker->ring->publish(ticket);
-  if (worker->parked.load(std::memory_order_seq_cst)) wake(*worker);
-
   // stop() race: if the backend stopped between our running_ check and
-  // the publish, the exiting worker's final straggler drain may have
-  // already passed this cell.  Serve our own slot; the PENDING ->
-  // EXECUTING CAS arbitrates against the drain, so the call runs exactly
-  // once either way.
+  // the publish, the exiting worker may have seen this slot still
+  // kClaimed on its last sweep and left.  Serve our own slot; the
+  // PENDING -> EXECUTING CAS arbitrates against the worker's final flush,
+  // so the call runs exactly once either way.
   if (!running_.load(std::memory_order_seq_cst)) {
     SlotState expected = SlotState::kPending;
     if (slot->state.compare_exchange_strong(expected, SlotState::kExecuting,
@@ -314,10 +246,9 @@ bool ZcBatchedBackend::try_invoke_ring(const CallDesc& desc, unsigned m) {
     }
   }
 
-  await_done(*worker, *slot);
+  await_done(*slot);
   unmarshal_from(call, desc);
   slot->state.store(SlotState::kEmpty, std::memory_order_release);
-  worker->ring->recycle(ticket);
   if (slab_ != nullptr) slab_->free(mem);
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
@@ -362,86 +293,23 @@ ZcBatchedBackend::FlushCause ZcBatchedBackend::flush_cause(
 unsigned ZcBatchedBackend::flush(Worker& w) {
   unsigned completed = 0;
   for (auto& s : w.slots) {
-    if (s->state.load(std::memory_order_acquire) != SlotState::kPending) {
+    SlotState expected = SlotState::kPending;
+    // The CAS arbitrates against a stop-racing caller serving its own
+    // slot; failure means the slot is not ours to run.
+    if (s->state.load(std::memory_order_acquire) != expected ||
+        !s->state.compare_exchange_strong(expected, SlotState::kExecuting,
+                                          std::memory_order_seq_cst)) {
       continue;
     }
     dispatch_slot(*s);
     s->state.store(SlotState::kDone, std::memory_order_release);
     ++completed;
     // Sleeping wait policies need the hand-off notify; yield/spin callers
-    // poll, so the default flush path stays fence-free.  Under coalesce=
-    // the per-slot notify is deferred to one broadcast below.
-    if (!cfg_.coalesce && gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
-  }
-  if (cfg_.coalesce && completed > 0 && gate_can_sleep(cfg_.wait)) {
-    w.gate.notify_batch();
-    stats_.wake_batches.add();
+    // poll, so the default flush path stays fence-free.
+    if (gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
   }
   stats_.batch_flushes.add();
   return completed;
-}
-
-// Ring-mode flush: serve the published run from the ring front.  The
-// PENDING -> EXECUTING CAS arbitrates against stop-racing callers serving
-// their own slot (its failure means the occupant is no longer ours: a
-// self-served or retired-empty cell — drop it from the claim order).
-unsigned ZcBatchedBackend::flush_ring(Worker& w) {
-  unsigned completed = 0;
-  const std::size_t cap = w.ring->capacity();
-  for (std::size_t n = 0; n < cap; ++n) {
-    std::uint64_t ticket = 0;
-    Slot* s = w.ring->front(ticket);
-    if (s == nullptr) break;
-    SlotState expected = SlotState::kPending;
-    if (!s->state.compare_exchange_strong(expected, SlotState::kExecuting,
-                                          std::memory_order_seq_cst)) {
-      w.ring->pop();
-      continue;
-    }
-    w.ring->pop();
-    dispatch_slot(*s);
-    s->state.store(SlotState::kDone, std::memory_order_release);
-    ++completed;
-    if (!cfg_.coalesce && gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
-  }
-  // A pass that only dropped cells already served out of band (by the
-  // straggler sweep or a stop-racing caller) is not a flush.
-  if (completed == 0) return 0;
-  if (cfg_.coalesce && gate_can_sleep(cfg_.wait)) {
-    w.gate.notify_batch();
-    stats_.wake_batches.add();
-  }
-  stats_.batch_flushes.add();
-  return completed;
-}
-
-// Cold-path ring flush that serves publishes *out of claim order*: a gap
-// at the ring front (a producer still marshalling) must not block a
-// pausing/exiting worker from draining later published entries.  The gap
-// cells themselves resolve through their producers (publish, then either
-// a parked-wake or the stop-race self-serve).
-void ZcBatchedBackend::flush_ring_stragglers(Worker& w) {
-  unsigned completed = 0;
-  for (std::size_t i = 0; i < w.ring->capacity(); ++i) {
-    std::uint64_t ticket = 0;
-    Slot* s = w.ring->published_at(i, ticket);
-    if (s == nullptr) continue;
-    SlotState expected = SlotState::kPending;
-    if (!s->state.compare_exchange_strong(expected, SlotState::kExecuting,
-                                          std::memory_order_seq_cst)) {
-      continue;  // self-served or retired empty; front() will skip it
-    }
-    dispatch_slot(*s);
-    s->state.store(SlotState::kDone, std::memory_order_release);
-    ++completed;
-    if (!cfg_.coalesce && gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
-  }
-  if (completed == 0) return;
-  if (cfg_.coalesce && gate_can_sleep(cfg_.wait)) {
-    w.gate.notify_batch();
-    stats_.wake_batches.add();
-  }
-  stats_.batch_flushes.add();
 }
 
 void ZcBatchedBackend::worker_main(Worker& w) {
@@ -473,119 +341,63 @@ void ZcBatchedBackend::worker_main(Worker& w) {
   };
 
   std::uint64_t iterations = 0;
-  // A flush that just woke its whole batch (coalesced or not) left the
-  // released callers runnable and the buffer empty; on a narrow host the
-  // worker's poll loop would burn the rest of its timeslice racing the
-  // very threads that must run before anything new can be published.
-  // Donate the CPU once, immediately, instead of waiting for the 1024-
-  // iteration courtesy yield below.
+  // A flush that just woke its whole batch left the released callers
+  // runnable and the buffer empty; on a narrow host the worker's poll loop
+  // would burn the rest of its timeslice racing the very threads that must
+  // run before anything new can be published.  Donate the CPU once,
+  // immediately, instead of waiting for the 1024-iteration courtesy yield
+  // below.
   bool just_flushed = false;
   // Learned eager flush (see the header comment): off until a window
   // flush serves a lone call.  Worker-local, so no sharing and no option.
   bool eager = false;
-  // Flushes when the sweep calls for it; true when it did.
-  const auto flush_if_due = [&](const Sweep& sweep, WorkerCmd cmd,
-                                std::uint64_t flush_ns) {
-    const FlushCause cause = flush_cause(sweep, cmd, flush_ns, eager);
-    if (cause == FlushCause::kNone) return false;
-    const unsigned served = cfg_.ring ? flush_ring(w) : flush(w);
-    if (cause == FlushCause::kWindow && served == 1) eager = true;
-    just_flushed = true;
-    return true;
-  };
   for (;;) {
     const WorkerCmd cmd = w.cmd.load(std::memory_order_acquire);
     // Re-read per sweep: under flush=feedback the controller retunes the
     // window while workers run (fixed at cfg_.flush under the timer).
     const std::uint64_t flush_ns = flush_ns_.load(std::memory_order_relaxed);
 
-    if (cfg_.ring) {
-      std::uint64_t front_ticket = 0;
-      Slot* front = w.ring->front(front_ticket);
-      if (front == nullptr && just_flushed && cmd == WorkerCmd::kRun) {
-        just_flushed = false;
-        std::this_thread::yield();
-        continue;
+    Sweep sweep;
+    sweep.oldest_ns = ~std::uint64_t{0};
+    for (const auto& s : w.slots) {
+      const SlotState state = s->state.load(std::memory_order_seq_cst);
+      if (state == SlotState::kClaimed) {
+        sweep.claimed = true;
+      } else if (state == SlotState::kPending) {
+        ++sweep.pending;
+        const std::uint64_t t = s->publish_ns.load(std::memory_order_relaxed);
+        if (t < sweep.oldest_ns) sweep.oldest_ns = t;
       }
-      if (front != nullptr) {
-        // O(1) oldest lookup: claim order is flush order.  A claimed cell
-        // past the published run is a producer mid-claim (or a gap that
-        // the straggler sweep resolves); either way, not eager-flushable.
-        Sweep sweep;
-        sweep.pending = w.ring->published_run();
-        sweep.claimed = w.ring->tail() - w.ring->head() != sweep.pending;
-        sweep.oldest_ns = front->publish_ns.load(std::memory_order_relaxed);
-        if (flush_if_due(sweep, cmd, flush_ns)) continue;
-      } else if (cmd == WorkerCmd::kExit) {
-        // The seq_cst flag read orders this final drain after every
-        // publish whose producer still observed the backend running
-        // (producers that observe the stop serve their own slot), so no
-        // published entry can be stranded behind the exit.
-        (void)running_.load(std::memory_order_seq_cst);
-        flush_ring_stragglers(w);
-        break;
-      } else if (cmd == WorkerCmd::kPause) {
-        if (w.ring->any_published()) {
-          // Drain before parking — out of claim order, so a gap at the
-          // ring front (a producer mid-marshal) cannot stall the pause.
-          flush_ring_stragglers(w);
-          continue;
-        }
-        park([&] {
-          // Paused workers still wake to serve publishes, so a call
-          // landing on a parked worker's ring is never stranded.
-          return w.cmd.load(std::memory_order_acquire) != WorkerCmd::kPause ||
-                 w.ring->any_published();
-        });
-        continue;
-      } else if ((iterations & 0x3FF) == 0x3FF && w.ring->any_published()) {
-        // Publish-order gap while running (front unpublished, later
-        // entries published — a producer preempted mid-marshal): serve
-        // the stragglers out of order occasionally so their callers are
-        // never held hostage by an unrelated slow marshal.
-        flush_ring_stragglers(w);
-        continue;
-      }
-    } else {
-      Sweep sweep;
-      sweep.oldest_ns = ~std::uint64_t{0};
-      for (const auto& s : w.slots) {
-        const SlotState state = s->state.load(std::memory_order_seq_cst);
-        if (state == SlotState::kClaimed) {
-          sweep.claimed = true;
-        } else if (state == SlotState::kPending) {
-          ++sweep.pending;
-          const std::uint64_t t =
-              s->publish_ns.load(std::memory_order_relaxed);
-          if (t < sweep.oldest_ns) sweep.oldest_ns = t;
-        }
-      }
+    }
 
-      if (sweep.pending > 0) {
-        if (flush_if_due(sweep, cmd, flush_ns)) continue;
-      } else {
-        if (just_flushed && cmd == WorkerCmd::kRun) {
-          just_flushed = false;
-          std::this_thread::yield();
-          continue;
-        }
-        if (cmd == WorkerCmd::kExit) break;
-        if (cmd == WorkerCmd::kPause) {
-          park([&] {
-            if (w.cmd.load(std::memory_order_acquire) != WorkerCmd::kPause) {
-              return true;
-            }
-            for (const auto& s : w.slots) {
-              if (s->state.load(std::memory_order_seq_cst) ==
-                  SlotState::kPending) {
-                return true;
-              }
-            }
-            return false;
-          });
-          continue;
-        }
+    if (sweep.pending > 0) {
+      const FlushCause cause = flush_cause(sweep, cmd, flush_ns, eager);
+      if (cause != FlushCause::kNone) {
+        const unsigned served = flush(w);
+        if (cause == FlushCause::kWindow && served == 1) eager = true;
+        just_flushed = true;
+        continue;
       }
+    } else if (just_flushed && cmd == WorkerCmd::kRun) {
+      just_flushed = false;
+      std::this_thread::yield();
+      continue;
+    } else if (cmd == WorkerCmd::kExit) {
+      break;
+    } else if (cmd == WorkerCmd::kPause) {
+      park([&] {
+        if (w.cmd.load(std::memory_order_acquire) != WorkerCmd::kPause) {
+          return true;
+        }
+        for (const auto& s : w.slots) {
+          if (s->state.load(std::memory_order_seq_cst) ==
+              SlotState::kPending) {
+            return true;
+          }
+        }
+        return false;
+      });
+      continue;
     }
 
     cpu_pause();

@@ -15,12 +15,11 @@
 // worker starts out waiting, and a window flush that served exactly one
 // call — direct evidence that waiting bought nothing — switches it to
 // eager mode.  An eager worker flushes the moment its sweep sees pending
-// calls and no producer mid-claim (no kClaimed slot; in ring mode the
-// published run covers every claimed cell), so a lone synchronous caller
-// no longer pays the window on every call.  A producer caught mid-claim
-// still holds the flush until it publishes or the window expires, which
-// is what keeps concurrent publishes batching.  The window therefore
-// bounds only the wait for co-publishers that are expected.
+// calls and no producer mid-claim (no kClaimed slot), so a lone
+// synchronous caller no longer pays the window on every call.  A producer
+// caught mid-claim still holds the flush until it publishes or the window
+// expires, which is what keeps concurrent publishes batching.  The window
+// therefore bounds only the wait for co-publishers that are expected.
 //
 // Two partial-flush policies pick that window:
 //  - timer (`flush_us=T`): a fixed window, the original design;
@@ -36,32 +35,21 @@
 //
 // Slot life cycle (per slot, lock-free on the hot path):
 //
-//   EMPTY -> CLAIMED -> PENDING -> DONE -> EMPTY
+//   EMPTY -> CLAIMED -> PENDING -> EXECUTING -> DONE -> EMPTY
 //     caller: EMPTY->CLAIMED (CAS), CLAIMED->PENDING (publish),
 //             DONE->EMPTY (collect)
-//     worker: PENDING->DONE (execute, during a flush)
+//     worker: PENDING->EXECUTING (CAS), EXECUTING->DONE (during a flush)
+//
+// The PENDING->EXECUTING CAS decides who runs a call when a caller races
+// stop(): a caller that publishes after the exiting worker's last sweep
+// finds the backend stopped and serves its own slot, and the CAS makes
+// sure the call runs exactly once either way.
 //
 // Like plain ZC, a caller that finds no free slot on any active worker
 // falls back to a regular ocall immediately — no busy waiting for capacity.
 // Workers can be paused/resumed (set_active_workers); a pausing worker
 // drains its published slots before parking, and a caller that publishes
 // into a parked worker's buffer wakes it, so no call is ever lost.
-//
-// Two hot-path variants are spec-selectable so the legacy path stays
-// A/B-able (`ring=`/`coalesce=` in the backend spec):
-//
-//  - ring=on: each worker's slot buffer becomes a lock-free MPSC ring
-//    (MpscSlotRing).  A claim is one CAS on the ring tail instead of a
-//    CAS-scan over the whole buffer, and the worker reads the oldest
-//    pending request in O(1) (ring front) instead of sweeping every slot
-//    per loop.  The slot life cycle grows one state — a worker (or a
-//    stop-racing caller serving its own slot) moves PENDING -> EXECUTING
-//    by CAS before dispatching, which arbitrates who runs the call.
-//  - coalesce=on (requires a sleeping wait= policy): callers sleep on
-//    their worker's shared gate via await_coalesced(), and a flush issues
-//    one notify_batch() — one futex wake / condvar broadcast per batch —
-//    instead of one notify() per slot (BackendStats::wake_batches counts
-//    the broadcasts; BM_GatePolicy priced the per-slot wake at ~2.2 µs).
 #pragma once
 
 #include <atomic>
@@ -75,7 +63,6 @@
 
 #include "common/completion_gate.hpp"
 #include "common/cpu_meter.hpp"
-#include "common/mpsc_ring.hpp"
 #include "common/pool.hpp"
 #include "sgx/enclave.hpp"
 
@@ -118,14 +105,6 @@ struct ZcBatchedConfig {
   FramePoolKind pool = FramePoolKind::kBump;
   /// copy=single advertises the in-place payload path (see marshal.hpp).
   CopyMode copy = CopyMode::kDouble;
-  /// Lock-free MPSC submit ring per worker instead of the slot-table
-  /// CAS-scan (see the header comment); `batch` becomes the ring capacity
-  /// (rounded up to a power of two).
-  bool ring = false;
-  /// One coalesced wake broadcast per flush instead of per-slot notifies.
-  /// Only meaningful with a sleeping wait= policy (futex/condvar); the
-  /// spec layer rejects other combinations.
-  bool coalesce = false;
   CpuUsageMeter* meter = nullptr;
   CallDirection direction = CallDirection::kOcall;
 };
@@ -198,8 +177,8 @@ class ZcBatchedBackend final : public CallBackend {
     kClaimed,    ///< a caller is marshalling into the slot
     kPending,    ///< published, awaiting the next flush
     kDone,       ///< executed, awaiting collection by the caller
-    kExecuting,  ///< ring mode only: dispatch in progress; the PENDING ->
-                 ///< EXECUTING CAS arbitrates worker vs. stop-racing caller
+    kExecuting,  ///< dispatch in progress; the PENDING -> EXECUTING CAS
+                 ///< arbitrates worker vs. stop-racing caller
   };
 
   struct alignas(64) Slot {
@@ -214,13 +193,8 @@ class ZcBatchedBackend final : public CallBackend {
   enum class WorkerCmd : std::uint32_t { kRun = 0, kPause, kExit };
 
   struct Worker {
-    Worker(unsigned batch, std::size_t pool_bytes, bool use_ring);
-    /// Table mode: the classic CAS-scanned slot buffer (empty under ring=).
-    std::vector<std::unique_ptr<Slot>> slots;
-    /// Ring mode: the lock-free submit ring (null under the table mode).
-    std::unique_ptr<MpscSlotRing<Slot>> ring;
-    /// coalesce=on: the shared gate all of this worker's callers sleep on.
-    CompletionGate gate;
+    Worker(unsigned batch, std::size_t pool_bytes);
+    std::vector<std::unique_ptr<Slot>> slots;  ///< CAS-claimed by callers
     std::atomic<WorkerCmd> cmd{WorkerCmd::kRun};
     std::atomic<bool> parked{false};
     std::mutex mu;
@@ -228,7 +202,7 @@ class ZcBatchedBackend final : public CallBackend {
     std::jthread thread;
   };
 
-  /// What one worker sweep saw of its buffer, from either plane.
+  /// What one worker sweep saw of its buffer.
   struct Sweep {
     std::size_t pending = 0;      ///< published calls awaiting a flush
     bool claimed = false;         ///< a producer is mid-marshal
@@ -243,7 +217,7 @@ class ZcBatchedBackend final : public CallBackend {
     kWindow,   ///< the oldest pending call waited out the flush window
   };
 
-  /// The flush decision both planes share (see the header comment).
+  /// The flush decision (see the header comment).
   FlushCause flush_cause(const Sweep& sweep, WorkerCmd cmd,
                          std::uint64_t flush_ns, bool eager) const noexcept;
 
@@ -251,10 +225,7 @@ class ZcBatchedBackend final : public CallBackend {
   void worker_main(Worker& w);
   unsigned flush(Worker& w);
   void dispatch_slot(Slot& slot);
-  void await_done(Worker& w, Slot& slot);
-  bool try_invoke_ring(const CallDesc& desc, unsigned m);
-  unsigned flush_ring(Worker& w);
-  void flush_ring_stragglers(Worker& w);
+  void await_done(Slot& slot);
   void controller_main(const std::stop_token& st);
   void execute_regular(const CallDesc& desc);
   CallPath fallback(const CallDesc& desc);
@@ -264,11 +235,10 @@ class ZcBatchedBackend final : public CallBackend {
   std::unique_ptr<SlabPool> slab_;  ///< frame slabs when pool=slab
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<unsigned> active_count_{0};
-  /// Rotating claim start.  64-bit on purpose: the old 32-bit counter made
-  /// the rotation index `(first + i) % m` jump at the 2^32 wraparound
-  /// (where `first + i` overflowed mid-scan), skewing claim spreading; a
-  /// 64-bit counter cannot wrap in any realistic run, and the force-wrap
-  /// regression test pins the behaviour at the old boundary.
+  /// Rotating claim start.  64-bit so the rotation index `(first + i) % m`
+  /// never jumps at a wraparound mid-scan (a 32-bit counter would skew
+  /// claim spreading at 2^32); the force-wrap regression test pins the
+  /// behaviour at that boundary.
   std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
 

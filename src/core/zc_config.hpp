@@ -49,11 +49,7 @@ struct ZcConfig {
   /// kYield keeps the historical spin-then-yield loop; kFutex/kCondvar put
   /// the blocked caller to sleep until the worker publishes completion
   /// (counted in BackendStats::caller_sleeps/caller_wakeups); kSpin never
-  /// stops spinning (the hotcalls-style ablation baseline).  The batched
-  /// and async planes additionally accept coalesce=on, which reroutes the
-  /// sleeping policies through CompletionGate::await_coalesced /
-  /// notify_batch so one wake releases a whole flushed batch; plain ZC
-  /// hands off 1:1 and has nothing to coalesce.
+  /// stops spinning (the hotcalls-style ablation baseline).
   GateWaitPolicy wait = GateWaitPolicy::kYield;
 
   /// Which allocator backs the untrusted call frames (`pool=` option).

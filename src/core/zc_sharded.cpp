@@ -82,8 +82,8 @@ void ZcShardedBackend::set_active_workers(unsigned m) {
 BackendStatsSnapshot ZcShardedBackend::stats_snapshot() const {
   BackendStatsSnapshot rolled;
   // merge() carries every inner-plane counter — batch_flushes,
-  // wake_batches, worker_wakeups — so a composed router exposes its
-  // inner planes' ring/coalesce behaviour without knowing about it.
+  // worker_wakeups, caller_sleeps — so a composed router exposes its
+  // inner planes' behaviour without knowing about it.
   for (const auto& s : shards_) rolled.merge(s->stats_snapshot());
   // Router-only counters.  Everything else in the router's live stats()
   // block mirrors calls the shards already counted once.

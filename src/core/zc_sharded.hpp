@@ -10,17 +10,16 @@
 // synchronise with each other.  The only shared write per call is the
 // lifetime stats() counter block — the same cost every backend pays.
 //
-// Since PR 5 the router is *generic*: a shard is any CallBackend, built by
-// a factory, so the same routing/stealing policies compose over plain ZC
-// workers (the default, byte-for-byte the old behaviour), batched buffers
-// or the async completion table.  The spec plane spells composition as a
-// nested spec — `zc_sharded:shards=4;inner=(zc_batched:batch=8)` — and the
-// router's probe (CallBackend::try_invoke_switchless) plus the per-shard
+// The router is *generic*: a shard is any CallBackend, built by a factory,
+// so the same routing/stealing policies compose over plain ZC workers (the
+// default), batched buffers or the async completion table.  The spec plane
+// spells composition as a nested spec —
+// `zc_sharded:shards=4;inner=(zc_batched:batch=8)` — and the router's
+// probe (CallBackend::try_invoke_switchless) plus the per-shard
 // stats().in_flight gauge are the whole inner-backend contract.  Inner
-// planes keep their full option surface, so the MPSC submit ring and
-// coalesced wakes compose transparently: each shard of
-// `inner=(zc_batched:ring=on;coalesce=on;wait=futex)` runs its own rings
-// and its own batch-wake epoch, with no router involvement.
+// planes keep their full option surface: each shard of
+// `inner=(zc_batched:batch=4;wait=futex)` runs its own slot buffers and
+// per-slot completion gates, with no router involvement.
 //
 // Shard selection policies:
 //  - round_robin: a relaxed atomic ticket spreads calls evenly.  Best when

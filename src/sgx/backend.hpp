@@ -67,9 +67,9 @@ struct BackendStats {
   PaddedCounter caller_wakeups;    ///< sleeping callers woken by a worker
   PaddedCounter steals;            ///< calls served by a non-primary shard
                                    ///< (sharded backend, steal=on)
-  PaddedCounter wake_batches;      ///< coalesced wake broadcasts: one per
-                                   ///< notify_batch() a worker issued in
-                                   ///< place of per-slot caller wakeups
+  PaddedCounter wake_batches;      ///< always 0: no plane coalesces wakes
+                                   ///< any more; kept because the call-
+                                   ///< plane benchmark's schema reads it
   PaddedCounter slab_hits;         ///< slab-pool frame allocs served from a
                                    ///< thread-local magazine or central list
   PaddedCounter slab_misses;       ///< slab-pool allocs that had to carve a

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -244,104 +243,6 @@ TEST(CompletionGateTest, TinySpinBudgetStillReachesTheSleepPhase) {
   waiter.join();
   EXPECT_EQ(g.stats.caller_sleeps.load(), 1u);
 }
-
-// --- Coalesced wakes (await_coalesced / notify_batch) ---------------------
-
-class CompletionGateCoalesceTest
-    : public ::testing::TestWithParam<GateWaitPolicy> {};
-
-TEST_P(CompletionGateCoalesceTest, OneBatchNotifyReleasesEverySleeper) {
-  // The batched-flush shape: N callers each wait on a *private* state word
-  // through one shared gate; the worker completes all N words and issues a
-  // single notify_batch().  Every sleeper must wake exactly once.
-  constexpr unsigned kWaiters = 6;
-  CompletionGate gate;
-  BackendStats stats;
-  GateCounters counters{&stats.caller_yields, &stats.caller_sleeps,
-                        &stats.caller_wakeups};
-  std::array<std::atomic<std::uint32_t>, kWaiters> words{};
-  std::atomic<unsigned> done{0};
-  {
-    std::vector<std::jthread> waiters;
-    for (unsigned t = 0; t < kWaiters; ++t) {
-      waiters.emplace_back([&, t] {
-        gate.await_coalesced(
-            words[t], [](std::uint32_t v) { return v == 1; }, GetParam(),
-            kNoSpin, counters);
-        done.fetch_add(1);
-      });
-    }
-    while (stats.caller_sleeps.load() < kWaiters) std::this_thread::yield();
-    EXPECT_EQ(done.load(), 0u);
-    for (auto& w : words) w.store(1, std::memory_order_seq_cst);
-    gate.notify_batch();  // ONE wake for the whole batch
-  }
-  EXPECT_EQ(done.load(), kWaiters);
-  // Exactly once each: every blocked wait slept once and returned once.
-  EXPECT_EQ(stats.caller_sleeps.load(), kWaiters);
-  EXPECT_EQ(stats.caller_wakeups.load(), kWaiters);
-}
-
-TEST_P(CompletionGateCoalesceTest, UnsatisfiedSleeperReparksOnNewEpoch) {
-  // Partial batch: a notify_batch that completes only caller A must not
-  // release caller B — B re-checks its predicate and parks on the bumped
-  // epoch until a later batch completes it.
-  CompletionGate gate;
-  BackendStats stats;
-  GateCounters counters{&stats.caller_yields, &stats.caller_sleeps,
-                        &stats.caller_wakeups};
-  std::atomic<std::uint32_t> word_a{0};
-  std::atomic<std::uint32_t> word_b{0};
-  std::atomic<bool> done_a{false};
-  std::atomic<bool> done_b{false};
-  std::jthread ta([&] {
-    gate.await_coalesced(
-        word_a, [](std::uint32_t v) { return v == 1; }, GetParam(), kNoSpin,
-        counters);
-    done_a.store(true, std::memory_order_seq_cst);
-  });
-  std::jthread tb([&] {
-    gate.await_coalesced(
-        word_b, [](std::uint32_t v) { return v == 1; }, GetParam(), kNoSpin,
-        counters);
-    done_b.store(true, std::memory_order_seq_cst);
-  });
-  while (stats.caller_sleeps.load() < 2) std::this_thread::yield();
-  word_a.store(1, std::memory_order_seq_cst);
-  gate.notify_batch();
-  ta.join();
-  EXPECT_TRUE(done_a.load());
-  std::this_thread::sleep_for(5ms);
-  EXPECT_FALSE(done_b.load());  // woke spuriously, re-parked
-  word_b.store(1, std::memory_order_seq_cst);
-  gate.notify_batch();
-  tb.join();
-  EXPECT_TRUE(done_b.load());
-}
-
-TEST_P(CompletionGateCoalesceTest, BatchCompletedBeforeSleepNeverBlocks) {
-  // The publish/park race: the word is already complete when the waiter
-  // arrives — await_coalesced must return without sleeping (the epoch
-  // observed-before-predicate ordering makes the sleep a kernel-side
-  // no-op even if notify_batch has already run).
-  CompletionGate gate;
-  BackendStats stats;
-  GateCounters counters{&stats.caller_yields, &stats.caller_sleeps,
-                        &stats.caller_wakeups};
-  std::atomic<std::uint32_t> word{1};
-  gate.notify_batch();
-  gate.await_coalesced(
-      word, [](std::uint32_t v) { return v == 1; }, GetParam(), kNoSpin,
-      counters);
-  EXPECT_EQ(stats.caller_sleeps.load(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(FutexAndCondvar, CompletionGateCoalesceTest,
-                         ::testing::Values(GateWaitPolicy::kFutex,
-                                           GateWaitPolicy::kCondvar),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
 
 TEST(CompletionGateTest, EnumWordsWork) {
   // The backends wait on 32-bit enum-class state words; the gate must take

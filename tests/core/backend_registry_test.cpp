@@ -337,51 +337,18 @@ TEST_F(BackendRegistryTest, BatchedSpinBudgetIsValidated) {
                 ->config().spin.count(), 0);
 }
 
-TEST_F(BackendRegistryTest, RingAndCoalesceOptionsAreValidated) {
+TEST_F(BackendRegistryTest, RingAndCoalesceAreUnknownOptions) {
+  // The batched and async planes have one submit plane (the CAS-claimed
+  // slot table with per-slot completion gates), so the old ring=/coalesce=
+  // switches are unknown options like any other, nested ones included.
   auto& registry = BackendRegistry::instance();
-  // Both planes accept the submit-ring and coalesced-wake switches.
-  EXPECT_NE(registry.create(*enclave_, "zc_batched:ring=on"), nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_batched:ring=off"), nullptr);
-  EXPECT_NE(registry.create(
-                *enclave_, "zc_batched:ring=on;coalesce=on;wait=futex"),
-            nullptr);
-  EXPECT_NE(registry.create(
-                *enclave_, "zc_batched:coalesce=on;wait=condvar"),
-            nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_async:ring=on;coalesce=on"),
-            nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_async:ring=off;coalesce=off"),
-            nullptr);
-  // Malformed booleans fail like any other bad value.
-  EXPECT_THROW(registry.create(*enclave_, "zc_batched:ring=banana"),
-               BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_async:coalesce=banana"),
-               BackendSpecError);
-  // Coalescing batches *sleeper* wakes: zc_batched with a polling wait
-  // policy has no sleepers, so the combination is rejected, not ignored.
-  EXPECT_THROW(registry.create(*enclave_, "zc_batched:coalesce=on"),
-               BackendSpecError);  // default wait=yield never sleeps
-  EXPECT_THROW(
-      registry.create(*enclave_, "zc_batched:coalesce=on;wait=spin"),
-      BackendSpecError);
-  EXPECT_THROW(
-      registry.create(*enclave_, "zc_batched:coalesce=on;wait=yield"),
-      BackendSpecError);
-  // The options belong to the batched/async planes only.
-  EXPECT_THROW(registry.create(*enclave_, "zc:ring=on"), BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:coalesce=on"),
-               BackendSpecError);
-  // And they compose through the sharded router's inner= spec.
-  EXPECT_NE(registry.create(*enclave_,
-                            "zc_sharded:shards=2;inner=(zc_batched:workers=1;"
-                            "batch=4;ring=on;coalesce=on;wait=futex)"),
-            nullptr);
-  // (create, not validate: the coalesce/wait cross-check lives in the
-  // builder, and the router builds its shards eagerly.)
-  EXPECT_THROW(
-      registry.create(*enclave_,
-                      "zc_sharded:inner=(zc_batched:coalesce=on;wait=spin)"),
-      BackendSpecError);
+  for (const char* spec :
+       {"zc_batched:ring=on", "zc_batched:coalesce=on;wait=futex",
+        "zc_async:coalesce=on", "zc_async:ring=off",
+        "zc_sharded:inner=(zc_batched:ring=on)"}) {
+    EXPECT_THROW(registry.validate(spec), BackendSpecError) << spec;
+    EXPECT_THROW(registry.create(*enclave_, spec), BackendSpecError) << spec;
+  }
 }
 
 TEST_F(BackendRegistryTest, NestedInnerSpecsAreValidated) {

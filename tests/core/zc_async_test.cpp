@@ -442,23 +442,14 @@ TEST_F(ZcAsyncTest, EcallDirectionServesTrustedFunctions) {
   enclave_->set_ecall_backend(nullptr);
 }
 
-// --- MPSC submit ring & coalesced wakes ------------------------------------
-
-struct AsyncPlane {
-  const char* tag;
-  bool ring;
-  bool coalesce;
-  GateWaitPolicy wait;
-};
+// --- Both sleeping wait policies --------------------------------------------
 
 class ZcAsyncPlaneTest : public ZcAsyncTest,
-                         public ::testing::WithParamInterface<AsyncPlane> {
+                         public ::testing::WithParamInterface<GateWaitPolicy> {
  protected:
   ZcAsyncConfig plane_config() {
     ZcAsyncConfig cfg;
-    cfg.ring = GetParam().ring;
-    cfg.coalesce = GetParam().coalesce;
-    cfg.wait = GetParam().wait;
+    cfg.wait = GetParam();
     return cfg;
   }
 };
@@ -540,16 +531,12 @@ TEST_P(ZcAsyncPlaneTest, PauseResumeChurnWithInFlightFuturesLosesNothing) {
   EXPECT_EQ(backend->stats().total_calls(), kCalls);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SubmitPlanes, ZcAsyncPlaneTest,
-    ::testing::Values(
-        AsyncPlane{"table_futex", false, false, GateWaitPolicy::kFutex},
-        AsyncPlane{"ring_futex", true, false, GateWaitPolicy::kFutex},
-        AsyncPlane{"table_coalesce", false, true, GateWaitPolicy::kFutex},
-        AsyncPlane{"ring_coalesce", true, true, GateWaitPolicy::kFutex},
-        AsyncPlane{"ring_coalesce_condvar", true, true,
-                   GateWaitPolicy::kCondvar}),
-    [](const auto& info) { return std::string(info.param.tag); });
+INSTANTIATE_TEST_SUITE_P(WaitPolicies, ZcAsyncPlaneTest,
+                         ::testing::Values(GateWaitPolicy::kFutex,
+                                           GateWaitPolicy::kCondvar),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 TEST_F(ZcAsyncTest, TicketCounterSurvivesThe32BitBoundary) {
   // Regression: ticket_ was a 32-bit fetch_add.  A long-lived backend
@@ -570,118 +557,6 @@ TEST_F(ZcAsyncTest, TicketCounterSurvivesThe32BitBoundary) {
     ASSERT_EQ(args.out, i + 1) << i;
   }
   EXPECT_EQ(backend->stats().total_calls(), 400u);
-}
-
-TEST_F(ZcAsyncTest, RingTicketsProtectStaleHandles) {
-  // Ring-mode ABA: a cell is reused by later tickets, but a stale handle
-  // carries its original ticket — which can never be handed out again —
-  // so it must keep reading "completed" forever, and never alias the
-  // cell's current occupant.
-  ZcAsyncConfig cfg;
-  cfg.workers = 1;
-  cfg.queue = 2;
-  cfg.ring = true;
-  auto* backend = install(cfg);
-
-  EchoArgs first;
-  first.in = 1;
-  CallFuture f1 = backend->submit(echo_desc(first));
-  const FutureHandle h1 = f1.handle();
-  ASSERT_NE(h1.slot, FutureHandle::kInline);
-  EXPECT_EQ(f1.wait(), CallPath::kSwitchless);
-
-  // Cycle the ring many times so h1's cell is reoccupied repeatedly.
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    EchoArgs args;
-    args.in = i;
-    CallFuture f = backend->submit(echo_desc(args));
-    f.wait();
-    ASSERT_EQ(args.out, i + 1);
-    EXPECT_TRUE(backend->handle_completed(h1)) << i;
-  }
-
-  // And a live in-flight occupant of the same cell still reads not-done
-  // while the stale handle reads done.
-  EchoArgs held;
-  held.in = 3;
-  CallFuture f2 = backend->submit(gated_desc(held));
-  EXPECT_TRUE(backend->handle_completed(h1));
-  EXPECT_FALSE(f2.poll());
-  gate_.store(true, std::memory_order_release);
-  EXPECT_EQ(f2.wait(), CallPath::kSwitchless);
-  EXPECT_EQ(held.out, 30u);
-}
-
-TEST_F(ZcAsyncTest, RingFullBackpressureFallsBackInline) {
-  // workers=1, queue=1 gives a per-worker ring of capacity 2 (the ring
-  // minimum).  Hold both cells in flight; the next submission must fall
-  // back inline exactly like the table's queue-full path.
-  ZcAsyncConfig cfg;
-  cfg.workers = 1;
-  cfg.queue = 1;
-  cfg.ring = true;
-  auto* backend = install(cfg);
-
-  EchoArgs held_a, held_b;
-  held_a.in = 2;
-  held_b.in = 4;
-  CallFuture fa = backend->submit(gated_desc(held_a));
-  CallFuture fb = backend->submit(gated_desc(held_b));
-  ASSERT_NE(fa.handle().slot, FutureHandle::kInline);
-  ASSERT_NE(fb.handle().slot, FutureHandle::kInline);
-
-  EchoArgs args;
-  args.in = 20;
-  CallFuture inline_future = backend->submit(echo_desc(args));
-  EXPECT_EQ(inline_future.handle().slot, FutureHandle::kInline);
-  EXPECT_EQ(args.out, 21u);
-  EXPECT_EQ(inline_future.wait(), CallPath::kFallback);
-
-  gate_.store(true, std::memory_order_release);
-  EXPECT_EQ(fa.wait(), CallPath::kSwitchless);
-  EXPECT_EQ(held_a.out, 20u);
-  EXPECT_EQ(fb.wait(), CallPath::kSwitchless);
-  EXPECT_EQ(held_b.out, 40u);
-}
-
-TEST_F(ZcAsyncTest, RingStopDrainsInFlightFutures) {
-  ZcAsyncConfig cfg;
-  cfg.workers = 2;
-  cfg.queue = 4;
-  cfg.ring = true;
-  cfg.coalesce = true;
-  auto backend = make_zc_async_backend(*enclave_, cfg);
-  backend->start();
-
-  EchoArgs gated_args;
-  gated_args.in = 6;
-  CallFuture gated_future = backend->submit(gated_desc(gated_args));
-  EchoArgs echo_args;
-  echo_args.in = 8;
-  CallFuture echo_future = backend->submit(echo_desc(echo_args));
-
-  std::jthread opener([&] {
-    std::this_thread::sleep_for(1ms);
-    gate_.store(true, std::memory_order_release);
-  });
-  backend->stop();
-  EXPECT_EQ(gated_future.wait(), CallPath::kSwitchless);
-  EXPECT_EQ(gated_args.out, 60u);
-  EXPECT_EQ(echo_future.wait(), CallPath::kSwitchless);
-  EXPECT_EQ(echo_args.out, 9u);
-}
-
-TEST_F(ZcAsyncTest, RingOptionsReachTheBackendFromTheSpecPlane) {
-  install_backend_spec(
-      *enclave_, "zc_async:workers=1;queue=4;ring=on;coalesce=on;wait=futex");
-  auto* backend = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_TRUE(backend->config().ring);
-  EXPECT_TRUE(backend->config().coalesce);
-  EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 2u);
 }
 
 TEST_F(ZcAsyncTest, RedundantSetActiveWorkersWakesNobody) {

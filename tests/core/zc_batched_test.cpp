@@ -1,6 +1,6 @@
 // Batched ZC backend: slot life cycle, flush triggers (batch fill, timer
-// and the feedback-adapted window), pause/resume draining, fallback paths
-// and the ecall direction.
+// and the feedback-adapted window), pause/resume draining, fallback paths,
+// a publish racing stop() and the ecall direction.
 #include "core/zc_batched.hpp"
 
 #include <gtest/gtest.h>
@@ -434,26 +434,17 @@ TEST_F(ZcBatchedTest, EcallDirectionServesTrustedFunctions) {
   EXPECT_EQ(enclave_->transitions().ecall_count(), 0u);
 }
 
-// --- MPSC submit ring & coalesced wakes ------------------------------------
+// --- Polling and sleeping wait policies ------------------------------------
 
-// Every submit-plane combination the spec grammar allows: the table scan
-// (the historical claim path), the lock-free MPSC ring, and each with
-// coalesced flush wakes under a sleeping wait policy.
-struct SubmitPlane {
-  const char* tag;
-  bool ring;
-  bool coalesce;
-  GateWaitPolicy wait;
-};
-
-class ZcBatchedPlaneTest : public ZcBatchedTest,
-                           public ::testing::WithParamInterface<SubmitPlane> {
+// The flush notifies each sleeping publisher through its slot's gate;
+// polling callers need no notify.  Both shapes must serve every call.
+class ZcBatchedPlaneTest
+    : public ZcBatchedTest,
+      public ::testing::WithParamInterface<GateWaitPolicy> {
  protected:
   ZcBatchedConfig plane_config() {
     ZcBatchedConfig cfg;
-    cfg.ring = GetParam().ring;
-    cfg.coalesce = GetParam().coalesce;
-    cfg.wait = GetParam().wait;
+    cfg.wait = GetParam();
     return cfg;
   }
 };
@@ -481,10 +472,6 @@ TEST_P(ZcBatchedPlaneTest, ConcurrentCallersAreAllServed) {
   }
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(backend->stats().total_calls(), 800u);
-  if (GetParam().coalesce) {
-    // Sleeping callers released by flush broadcasts, not per-slot wakes.
-    EXPECT_GE(backend->stats().wake_batches.load(), 1u);
-  }
 }
 
 TEST_P(ZcBatchedPlaneTest, PauseResumeChurnLosesNoCalls) {
@@ -526,37 +513,28 @@ TEST_P(ZcBatchedPlaneTest, PauseResumeChurnLosesNoCalls) {
   EXPECT_EQ(backend->stats().total_calls(), issued.load());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SubmitPlanes, ZcBatchedPlaneTest,
-    ::testing::Values(
-        SubmitPlane{"table_yield", false, false, GateWaitPolicy::kYield},
-        SubmitPlane{"ring_yield", true, false, GateWaitPolicy::kYield},
-        SubmitPlane{"table_futex", false, false, GateWaitPolicy::kFutex},
-        SubmitPlane{"ring_futex", true, false, GateWaitPolicy::kFutex},
-        SubmitPlane{"table_coalesce", false, true, GateWaitPolicy::kFutex},
-        SubmitPlane{"ring_coalesce", true, true, GateWaitPolicy::kFutex},
-        SubmitPlane{"ring_coalesce_condvar", true, true,
-                    GateWaitPolicy::kCondvar}),
-    [](const auto& info) { return std::string(info.param.tag); });
+INSTANTIATE_TEST_SUITE_P(WaitPolicies, ZcBatchedPlaneTest,
+                         ::testing::Values(GateWaitPolicy::kYield,
+                                           GateWaitPolicy::kFutex,
+                                           GateWaitPolicy::kCondvar),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
 
 // --- Learned eager flush ----------------------------------------------------
 
-// Both submit planes share the flush decision, so each eager-flush case
-// runs over the table scan and the MPSC ring.
-class ZcBatchedEagerTest : public ZcBatchedTest,
-                           public ::testing::WithParamInterface<bool> {
+class ZcBatchedEagerTest : public ZcBatchedTest {
  protected:
-  ZcBatchedConfig eager_config() {
+  static ZcBatchedConfig eager_config() {
     ZcBatchedConfig cfg;
     cfg.workers = 1;
     cfg.batch = 8;  // never fills in these cases
     cfg.flush = 200ms;
-    cfg.ring = GetParam();
     return cfg;
   }
 };
 
-TEST_P(ZcBatchedEagerTest, LoneSequentialCallerPaysTheWindowOnce) {
+TEST_F(ZcBatchedEagerTest, LoneSequentialCallerPaysTheWindowOnce) {
   // The first call waits out the window and, having been served alone,
   // switches the worker to eager mode; the other 19 flush on publish.
   // Without the eager flush the loop takes 20 windows.
@@ -588,7 +566,7 @@ struct HeldProducer {
   }
 };
 
-TEST_P(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
+TEST_F(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
   ZcBatchedConfig cfg = eager_config();
   cfg.copy = CopyMode::kSingle;
   auto* backend = install(cfg);
@@ -600,9 +578,7 @@ TEST_P(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
 
   // B claims first, then A; both hold mid-marshal.  B is released and
   // publishes while A's slot is still claimed, so the eager worker must
-  // hold B's flush until A publishes: one flush for both calls.  (B
-  // first also keeps the ring's straggler sweep out of it: B is at the
-  // ring front, so there is no publish-order gap to serve around.)
+  // hold B's flush until A publishes: one flush for both calls.
   const auto run = [&](HeldProducer& held, EchoArgs& args,
                        std::atomic<bool>& done) {
     CallDesc desc;
@@ -644,24 +620,54 @@ TEST_P(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
   EXPECT_EQ(backend->stats().switchless_calls.load(), 3u);
 }
 
-INSTANTIATE_TEST_SUITE_P(TableAndRing, ZcBatchedEagerTest,
-                         ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return std::string(info.param ? "ring" : "table");
-                         });
+// --- stop() racing a publish ------------------------------------------------
 
-TEST_F(ZcBatchedTest, RingOptionsReachTheBackendFromTheSpecPlane) {
-  install_backend_spec(*enclave_,
-                       "zc_batched:workers=1;batch=4;flush_us=50;ring=on;"
-                       "coalesce=on;wait=futex;spin_us=0");
-  auto* backend = dynamic_cast<ZcBatchedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_TRUE(backend->config().ring);
-  EXPECT_TRUE(backend->config().coalesce);
+TEST_F(ZcBatchedTest, StopWhileAProducerIsMidClaimStillServesItsCall) {
+  // The caller has claimed its slot and is still marshalling when stop()
+  // runs: the exiting worker sees no pending call and leaves.  The caller
+  // must then find the backend stopped and serve its own slot instead of
+  // waiting for a worker that is gone.
+  ZcBatchedConfig cfg;
+  cfg.workers = 1;
+  cfg.batch = 4;
+  cfg.flush = 50us;
+  cfg.copy = CopyMode::kSingle;
+  auto* backend = install(cfg);
+
+  HeldProducer held;
   EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 2u);
+  args.in = 70;
+  std::atomic<CallPath> path{CallPath::kRegular};
+  std::atomic<bool> done{false};
+  std::jthread caller([&] {
+    CallDesc desc;
+    desc.fn_id = echo_id_;
+    desc.args = &args;
+    desc.args_size = sizeof(args);
+    desc.produce_in = &HeldProducer::produce;
+    desc.in_size = 64;
+    desc.inplace_ctx = &held;
+    path.store(enclave_->ocall(desc), std::memory_order_seq_cst);
+    done.store(true, std::memory_order_seq_cst);
+  });
+  while (!held.inside.load()) std::this_thread::yield();
+
+  backend->stop();  // the worker exits while the slot is still kClaimed
+  held.release.store(true);
+
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  if (!done.load()) {
+    ADD_FAILURE() << "the published call was stranded behind stop()";
+    backend->start();  // rescue the caller so the test can finish
+  }
+  caller.join();
+  EXPECT_EQ(path.load(), CallPath::kSwitchless);
+  EXPECT_EQ(args.out, 71u);
+  EXPECT_EQ(backend->stats().switchless_calls.load(), 1u);
+  EXPECT_EQ(backend->stats().in_flight.load(), 0u);
 }
 
 TEST_F(ZcBatchedTest, TableClaimRotationSurvivesThe32BitBoundary) {

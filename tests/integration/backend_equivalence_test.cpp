@@ -69,23 +69,9 @@ std::vector<std::string> all_backend_specs() {
   // Sleeping blocked-caller gates (futex with condvar fallback off Linux):
   // the wait policy may change who sleeps, never what calls compute.
   specs.push_back("zc:scheduler=off;workers=2;spin_us=0;wait=futex");
-  // The MPSC submit ring and coalesced flush wakes, each against its
-  // table/per-slot twin above: the submit plane and the wake shape may
-  // change who queues where and who wakes whom, never what calls compute.
-  specs.push_back("zc_batched:workers=2;batch=2;flush_us=100;ring=on");
+  // Batched publishers that sleep until their flush notifies them.
   specs.push_back(
-      "zc_batched:workers=2;batch=4;flush_us=100;ring=on;coalesce=on;"
-      "wait=futex;spin_us=0");
-  specs.push_back("zc_async:workers=2;queue=4;ring=on");
-  specs.push_back("zc_async:workers=2;queue=8;ring=on;coalesce=on");
-  specs.push_back("zc_async:workers=2;queue=8;coalesce=on");
-  // And composed through the router, where each shard runs its own ring.
-  specs.push_back(
-      "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4;ring=on;"
-      "coalesce=on;wait=futex)");
-  specs.push_back(
-      "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8;ring=on;"
-      "coalesce=on)");
+      "zc_batched:workers=2;batch=4;flush_us=100;wait=futex;spin_us=0");
   // The large-payload data plane: size-classed slab frames and the
   // single-copy discipline.  copy=single switches the differential driver
   // onto the in-place producer/consumer path, whose digests must match the

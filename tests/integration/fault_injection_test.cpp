@@ -254,30 +254,13 @@ TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderFutexSleepingCallers) {
   EXPECT_EQ(out, 2u);
 }
 
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderRingSubmits) {
-  // The failing op travels through the lock-free MPSC submit ring with
-  // coalesced flush wakes: the error must still surface at exactly the
-  // caller that drew it, and the store must recover once the fault clears.
+TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderSleepingBatchedCallers) {
+  // The failing op is flushed to a publisher asleep on its slot's gate:
+  // the error must still surface at exactly the caller that drew it, and
+  // the store must recover once the fault clears.
   install_backend_spec(*enclave_,
-                       "zc_batched:workers=1;batch=2;flush_us=50;ring=on;"
-                       "coalesce=on;wait=futex;spin_us=0");
-  app::KissDB db;
-  ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
-  std::uint64_t key = 1;
-  std::uint64_t value = 2;
-  ASSERT_EQ(db.put(&key, &value), app::KissDB::kOk);
-  SimFs::instance().fail_next_ops(1);
-  key = 3;
-  EXPECT_EQ(db.put(&key, &value), app::KissDB::kErrorIo);
-  std::uint64_t out = 0;
-  key = 1;
-  EXPECT_EQ(db.get(&key, &out), app::KissDB::kOk);
-  EXPECT_EQ(out, 2u);
-}
-
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderRingAsyncWorkers) {
-  install_backend_spec(*enclave_,
-                       "zc_async:workers=2;queue=8;ring=on;coalesce=on");
+                       "zc_batched:workers=1;batch=2;flush_us=50;wait=futex;"
+                       "spin_us=0");
   app::KissDB db;
   ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
   std::uint64_t key = 1;

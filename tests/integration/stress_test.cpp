@@ -542,60 +542,13 @@ TEST_F(StressTest, AsyncPauseResumeChurnWhileSubmittersRun) {
   stop.store(true);
 }
 
-TEST_F(StressTest, RingBatchedUnderPressure) {
-  // The lock-free MPSC submit ring instead of the slot-table CAS scan,
-  // under maximal producer contention plus pause/resume churn.
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 4;
-  cfg.flush = 50us;
-  cfg.ring = true;
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
-
-  std::atomic<bool> stop{false};
-  std::jthread churner([&] {
-    unsigned m = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      raw->set_active_workers(m % (raw->max_workers() + 1));
-      ++m;
-      std::this_thread::sleep_for(200us);
-    }
-  });
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  stop.store(true);
-}
-
-TEST_F(StressTest, RingCoalescedBatchedFutexUnderPressure) {
-  // ring=on + coalesce=on + wait=futex + spin_us=0: every blocked caller
-  // sleeps on the worker's shared gate and flushes release whole batches
-  // with one broadcast.  Sleeps and wakeups must still balance exactly.
-  install_backend_spec(*enclave_,
-                       "zc_batched:workers=2;batch=4;flush_us=50;ring=on;"
-                       "coalesce=on;wait=futex;spin_us=0");
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  const BackendStats& stats = enclave_->backend().stats();
-  EXPECT_GT(stats.caller_sleeps.load(), 0u);
-  EXPECT_EQ(stats.caller_sleeps.load(), stats.caller_wakeups.load());
-  EXPECT_GT(enclave_->backend().stats_snapshot().wake_batches, 0u);
-}
-
-TEST_F(StressTest, RingCoalescedAsyncUnderPressure) {
-  install_backend_spec(
-      *enclave_, "zc_async:workers=2;queue=16;ring=on;coalesce=on");
-  hammer(scaled_threads(16), scaled_calls(2'000));
-}
-
-TEST_F(StressTest, RingAsyncPipelinedSubmittersWithChurn) {
-  // The async ring under its hardest shape: pipelined futures from every
-  // thread while workers pause and resume — ring tickets, straggler
+TEST_F(StressTest, AsyncPipelinedSubmittersWithChurn) {
+  // The async plane under its hardest shape: pipelined futures from every
+  // thread while workers pause and resume — slot generations, paused-worker
   // drains and the parked-wake protocol all contended at once.
   ZcAsyncConfig cfg;
   cfg.workers = 2;
   cfg.queue = 8;
-  cfg.ring = true;
-  cfg.coalesce = true;
   auto backend = make_zc_async_backend(*enclave_, cfg);
   auto* raw = backend.get();
   enclave_->set_backend(std::move(backend));
