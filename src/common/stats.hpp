@@ -10,26 +10,76 @@
 
 namespace zc {
 
-/// Cache-line padded monotonically increasing counter (avoids false sharing
-/// between caller/worker/scheduler threads).
-struct alignas(64) PaddedCounter {
-  std::atomic<std::uint64_t> value{0};
+/// Number of cache-line cells a PaddedCounter stripes its total over.
+inline constexpr std::size_t kCounterCells = 16;
 
-  void add(std::uint64_t n = 1) noexcept {
-    value.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t load() const noexcept {
-    return value.load(std::memory_order_relaxed);
-  }
-  void store(std::uint64_t v) noexcept {
-    value.store(v, std::memory_order_relaxed);
-  }
+/// One thread's share of a PaddedCounter, alone on its cache line.
+struct alignas(64) CounterCell {
+  std::atomic<std::uint64_t> value{0};
 };
 
-/// Cache-line padded gauge: like PaddedCounter but decrementable, for
-/// levels rather than totals (e.g. calls currently inside a backend).
-/// Relaxed ordering throughout — readers want a cheap, approximately
-/// current level, not a synchronisation point.
+namespace detail {
+inline constexpr std::uint32_t kNoCell = ~std::uint32_t{0};
+constinit inline thread_local std::uint32_t t_counter_cell = kNoCell;
+/// Slow path of this_thread_cell(): takes the lowest free cell (or a shared
+/// one once every cell is held) and returns it to the free mask at thread
+/// exit.
+std::uint32_t claim_counter_cell() noexcept;
+/// A zeroed block of kCounterCells cells from the process-wide free list.
+CounterCell* take_counter_cells();
+/// Zeroes `cells` and puts the block back on the free list.
+void return_counter_cells(CounterCell* cells) noexcept;
+}  // namespace detail
+
+/// The calling thread's PaddedCounter cell, in [0, kCounterCells).  Live
+/// threads hold distinct cells until more than kCounterCells are live; past
+/// that, threads share cells (still lossless, only contended).
+inline std::size_t this_thread_cell() noexcept {
+  const std::uint32_t cell = detail::t_counter_cell;
+  return cell != detail::kNoCell ? cell : detail::claim_counter_cell();
+}
+
+/// Monotonically increasing total striped over cache-line cells: add()
+/// touches only the calling thread's cell, so counters bumped by every
+/// caller and worker on each call never bounce a shared line.  load() sums
+/// the cells; for a single reader it never goes backwards while only add()
+/// is used, which is what the scheduler's and controllers' deltas rely on.
+///
+/// The cells are a block recycled through a process-wide free list whose
+/// memory is never handed back to malloc: every backend owns a score of
+/// counters, and freeing their blocks let the heap trim the pages, so the
+/// next backend's set-up paid to fault them back in.
+class PaddedCounter {
+ public:
+  PaddedCounter() : cells_(detail::take_counter_cells()) {}
+  ~PaddedCounter() { detail::return_counter_cells(cells_); }
+  PaddedCounter(const PaddedCounter&) = delete;
+  PaddedCounter& operator=(const PaddedCounter&) = delete;
+
+  void add(std::uint64_t n = 1) noexcept {
+    cells_[this_thread_cell()].value.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Takes back a count this thread added (e.g. a sleep that never began).
+  void sub(std::uint64_t n = 1) noexcept {
+    cells_[this_thread_cell()].value.fetch_sub(n, std::memory_order_relaxed);
+  }
+  std::uint64_t load() const noexcept {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < kCounterCells; ++i) {
+      total += cells_[i].value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+ private:
+  CounterCell* cells_;  ///< kCounterCells cells; the pointer is read-only
+};
+
+/// Cache-line padded gauge: a single atomic for levels rather than totals
+/// (e.g. calls currently inside a backend).  Unlike PaddedCounter it is not
+/// striped: load-aware routing reads it on every call, where one line beats
+/// a sum over cells.  Relaxed ordering throughout — readers want a cheap,
+/// approximately current level, not a synchronisation point.
 struct alignas(64) PaddedGauge {
   std::atomic<std::uint64_t> value{0};
 

@@ -46,6 +46,9 @@ void ZcWorker::shutdown() {
 }
 
 bool ZcWorker::try_reserve() noexcept {
+  // Test before the CAS: probing a busy worker only shares its hand-off
+  // line; a failing CAS would still take it exclusive mid-call.
+  if (state() != WorkerState::kUnused) return false;
   WorkerState expected = WorkerState::kUnused;
   return status_.compare_exchange_strong(expected, WorkerState::kReserved,
                                          std::memory_order_acquire,
@@ -154,7 +157,7 @@ void ZcWorker::main() {
                                              std::memory_order_acq_rel,
                                              std::memory_order_relaxed)) {
           // A caller reserved the worker first: no sleep after all.
-          stats_.worker_sleeps.value.fetch_sub(1, std::memory_order_relaxed);
+          stats_.worker_sleeps.sub();
           continue;
         }
         if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);

@@ -62,7 +62,8 @@ class ZcWorker {
 
   // --- caller side (enclave threads) --------------------------------------
 
-  /// Attempts UNUSED -> RESERVED. Wait-free.
+  /// Attempts UNUSED -> RESERVED. Wait-free; a worker seen busy is refused
+  /// without writing its status line.
   bool try_reserve() noexcept;
 
   /// Allocates frame memory from the worker's request pool.  When the pool
@@ -111,15 +112,18 @@ class ZcWorker {
   unsigned index_;
 
   // The paper's worker buffer (§IV-B): status + scheduler word + request +
-  // preallocated pool.
-  std::atomic<WorkerState> status_{WorkerState::kUnused};
+  // preallocated pool.  The first three form the hand-off line, the one
+  // line the idle worker spins on; everything written per call by only one
+  // side (the caller's pool cursor, the worker's served count) sits on a
+  // line of its own so it never invalidates the hand-off mid-poll.
+  alignas(64) std::atomic<WorkerState> status_{WorkerState::kUnused};
   std::atomic<SchedCmd> cmd_{SchedCmd::kRun};
   void* request_ = nullptr;  ///< most recent request; ordered by status_
-  BumpPool pool_;
+  alignas(64) BumpPool pool_;
   CompletionGate done_gate_;  ///< the caller's hand-off wait on status_
 
-  std::atomic<std::uint64_t> served_{0};
-  std::mutex mu_;
+  alignas(64) std::atomic<std::uint64_t> served_{0};
+  alignas(64) std::mutex mu_;
   std::condition_variable cv_;
   std::jthread thread_;
 };

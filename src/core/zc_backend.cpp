@@ -1,6 +1,17 @@
 #include "core/zc_backend.hpp"
 
+#include <algorithm>
+
 namespace zc {
+
+namespace {
+// The worker this thread last reserved.  A caller's scan starts there, so a
+// sequential caller keeps reusing one worker whose lines stay warm, and
+// concurrent callers settle on distinct workers instead of all probing
+// worker 0 first.  Only a hint: shared by every ZcBackend the thread uses,
+// reduced modulo the active count at each call.
+thread_local unsigned t_last_worker = 0;
+}  // namespace
 
 ZcBackend::ZcBackend(Enclave& enclave, ZcConfig cfg)
     : enclave_(enclave), cfg_(std::move(cfg)) {
@@ -70,11 +81,17 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
   // Switchless-call selection (§IV-C): run switchlessly iff an idle worker
   // exists right now; otherwise refuse immediately (no busy waiting for
   // capacity).
-  const unsigned m = active_count_.load(std::memory_order_acquire);
+  const unsigned m =
+      std::min(active_count_.load(std::memory_order_acquire),
+               static_cast<unsigned>(workers_.size()));
+  if (m == 0) return false;
   ZcWorker* worker = nullptr;
-  for (unsigned i = 0; i < m && i < workers_.size(); ++i) {
+  const unsigned start = t_last_worker % m;
+  for (unsigned k = 0; k < m; ++k) {
+    const unsigned i = start + k < m ? start + k : start + k - m;
     if (workers_[i]->try_reserve()) {
       worker = workers_[i].get();
+      t_last_worker = i;
       break;
     }
   }

@@ -291,6 +291,9 @@ ZcBatchedBackend::FlushCause ZcBatchedBackend::flush_cause(
 }
 
 unsigned ZcBatchedBackend::flush(Worker& w) {
+  // Counted before any slot completes, so a caller that sees its result
+  // also sees the flush that produced it.
+  stats_.batch_flushes.add();
   unsigned completed = 0;
   for (auto& s : w.slots) {
     SlotState expected = SlotState::kPending;
@@ -308,7 +311,6 @@ unsigned ZcBatchedBackend::flush(Worker& w) {
     // poll, so the default flush path stays fence-free.
     if (gate_can_sleep(cfg_.wait)) s->gate.notify(s->state);
   }
-  stats_.batch_flushes.add();
   return completed;
 }
 

@@ -15,13 +15,11 @@ SimFs& SimFs::instance() {
 }
 
 void SimFs::set_syscall_cycles(std::uint64_t cycles) noexcept {
-  std::lock_guard lock(mu_);
-  syscall_cycles_ = cycles;
+  syscall_cycles_.store(cycles, std::memory_order_relaxed);
 }
 
 std::uint64_t SimFs::syscall_cycles() const noexcept {
-  std::lock_guard lock(mu_);
-  return syscall_cycles_;
+  return syscall_cycles_.load(std::memory_order_relaxed);
 }
 
 void SimFs::fail_next_ops(std::uint64_t count) noexcept {
@@ -44,12 +42,8 @@ bool SimFs::take_failure() noexcept {
 }
 
 void SimFs::charge() const noexcept {
-  std::uint64_t cycles;
-  {
-    std::lock_guard lock(mu_);
-    cycles = syscall_cycles_;
-  }
-  burn_cycles(cycles);
+  // Every handler pays this, so the cost is read without the registry lock.
+  burn_cycles(syscall_cycles_.load(std::memory_order_relaxed));
 }
 
 std::uint64_t SimFs::fopen(const std::string& path, const std::string& mode) {

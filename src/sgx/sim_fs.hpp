@@ -92,7 +92,7 @@ class SimFs {
   std::unordered_map<int, std::shared_ptr<Stream>> fds_;
   std::uint64_t next_handle_ = 1;
   int next_fd_ = 1'000;
-  std::uint64_t syscall_cycles_ = 250;
+  std::atomic<std::uint64_t> syscall_cycles_{250};  ///< read lock-free
   std::atomic<std::uint64_t> failures_left_{0};
 };
 

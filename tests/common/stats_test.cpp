@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <latch>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,8 +21,17 @@ TEST(PaddedCounter, StartsAtZeroAndAdds) {
 }
 
 TEST(PaddedCounter, IsCacheLinePadded) {
-  EXPECT_EQ(alignof(PaddedCounter) % 64, 0u);
-  EXPECT_GE(sizeof(PaddedCounter), 64u);
+  EXPECT_EQ(alignof(CounterCell) % 64, 0u);
+  EXPECT_GE(sizeof(CounterCell), 64u);
+}
+
+TEST(PaddedCounter, RecycledCellsStartAtZero) {
+  {
+    PaddedCounter c;
+    c.add(7);
+  }
+  PaddedCounter reused;  // takes the block just returned
+  EXPECT_EQ(reused.load(), 0u);
 }
 
 TEST(PaddedCounter, ConcurrentAddsAreLossless) {
@@ -35,6 +47,62 @@ TEST(PaddedCounter, ConcurrentAddsAreLossless) {
     }
   }
   EXPECT_EQ(c.load(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(PaddedCounter, ManyMoreThreadsThanCellsAreLossless) {
+  PaddedCounter c;
+  constexpr int kThreads = 32;  // twice kCounterCells: threads share cells
+  constexpr int kPerThread = 10'000;
+  static_assert(kThreads > static_cast<int>(kCounterCells));
+  std::latch all_live(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        all_live.arrive_and_wait();  // every thread holds a cell at once
+        for (int i = 0; i < kPerThread; ++i) c.add();
+      });
+    }
+  }
+  EXPECT_EQ(c.load(), static_cast<std::uint64_t>(kThreads) * kPerThread);
+}
+
+TEST(PaddedCounter, SubTakesACountBack) {
+  PaddedCounter c;
+  c.add(5);
+  c.sub(2);
+  EXPECT_EQ(c.load(), 3u);
+  c.sub(3);
+  EXPECT_EQ(c.load(), 0u);
+}
+
+TEST(PaddedCounter, LiveThreadsHoldDistinctCells) {
+  constexpr int kThreads = 8;
+  std::array<std::size_t, kThreads> cells{};
+  std::latch all_claimed(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        cells[t] = this_thread_cell();
+        all_claimed.arrive_and_wait();  // no thread exits before all claim
+      });
+    }
+  }
+  const std::set<std::size_t> distinct(cells.begin(), cells.end());
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kThreads));
+  for (const std::size_t cell : cells) EXPECT_LT(cell, kCounterCells);
+}
+
+TEST(PaddedCounter, CellIsReusedAfterItsThreadExits) {
+  std::size_t first = kCounterCells;
+  std::jthread([&] { first = this_thread_cell(); }).join();
+  std::size_t second = kCounterCells;
+  std::jthread([&] { second = this_thread_cell(); }).join();
+  // Cells are handed out lowest-free-first, so the exited thread's cell is
+  // the one the next thread gets.
+  EXPECT_LT(first, kCounterCells);
+  EXPECT_EQ(second, first);
 }
 
 TEST(RunningStat, EmptyIsZero) {

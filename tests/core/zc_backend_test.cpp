@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "common/cycles.hpp"
 
@@ -169,16 +171,75 @@ TEST_F(ZcBackendTest, PoolResetsShowUpInStats) {
   EXPECT_EQ(args.x, 500);
 }
 
-TEST_F(ZcBackendTest, WorkScanPrefersLowWorkerIds) {
+TEST_F(ZcBackendTest, SequentialCallerStaysOnOneWorker) {
   auto* backend = install(manual(4));
   IncArgs args;
   for (int i = 0; i < 100; ++i) enclave_->ocall(inc_id_, args);
   const auto served = backend->per_worker_served();
   ASSERT_EQ(served.size(), 4u);
-  // A single sequential caller always finds worker 0 idle.
-  EXPECT_EQ(served[0], 100u);
+  // The scan starts at the worker this thread last reserved, which a
+  // sequential caller always finds idle again: one worker serves it all.
+  EXPECT_EQ(*std::max_element(served.begin(), served.end()), 100u);
   EXPECT_EQ(std::accumulate(served.begin(), served.end(), std::uint64_t{0}),
             100u);
+}
+
+TEST_F(ZcBackendTest, CallerWhoseLastWorkerWasPausedStillGoesSwitchless) {
+  auto* backend = install(manual(2));
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  const auto hold_id = enclave_->ocalls().register_fn(
+      "hold", [&](MarshalledCall&) {
+        entered.store(true);
+        while (!release.load()) std::this_thread::yield();
+      });
+  // A fresh thread starts its scan at worker 0 and holds it, so this
+  // thread's next call must reserve worker 1 and remember it.
+  CallPath held = CallPath::kRegular;
+  std::jthread occupier([&] {
+    IncArgs hold_args;
+    held = enclave_->ocall(hold_id, hold_args);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  IncArgs args;
+  EXPECT_EQ(enclave_->ocall(inc_id_, args), CallPath::kSwitchless);
+  release.store(true);
+  occupier.join();
+  ASSERT_EQ(held, CallPath::kSwitchless);
+  ASSERT_EQ(backend->per_worker_served()[1], 1u);
+
+  // Worker 1 is no longer active: the remembered index wraps to worker 0.
+  backend->set_active_workers(1);
+  EXPECT_EQ(enclave_->ocall(inc_id_, args), CallPath::kSwitchless);
+  EXPECT_EQ(args.x, 2);
+  EXPECT_EQ(backend->per_worker_served()[0], 2u);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
+}
+
+TEST_F(ZcBackendTest, TwoCallersOnTwoWorkersNeverFallBack) {
+  // Each caller holds at most one worker, so whichever worker the other
+  // caller occupies, the scan finds the second one idle.
+  auto* backend = install(manual(2));
+  constexpr int kCallers = 2;
+  constexpr int kPerCaller = 2'000;
+  std::atomic<int> switchless{0};
+  {
+    std::vector<std::jthread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&] {
+        IncArgs args;
+        for (int i = 0; i < kPerCaller; ++i) {
+          if (enclave_->ocall(inc_id_, args) == CallPath::kSwitchless) {
+            switchless.fetch_add(1);
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(switchless.load(), kCallers * kPerCaller);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
+  EXPECT_EQ(backend->stats().switchless_calls.load(),
+            static_cast<std::uint64_t>(kCallers) * kPerCaller);
 }
 
 TEST_F(ZcBackendTest, StoppedBackendRoutesRegular) {

@@ -115,22 +115,39 @@ TEST_F(IntelBackendTest, RbfExpiryFallsBackWhenWorkersBusy) {
   // Needs the worker to *accept* the occupier's long call concurrently;
   // with one shared core that acceptance is a scheduler coin-flip.
   ZC_SKIP_IF_FEWER_CORES_THAN(2);
+  // The occupier's own call can hit the short rbf and run on the occupier
+  // thread, leaving the worker idle; only a handler running elsewhere
+  // proves the worker is busy.  A fallen-back run returns at once, so the
+  // occupier re-submits while the worker its submit woke is still awake.
+  static thread_local bool on_occupier = false;
+  std::atomic<bool> worker_busy{false};
+  const auto occupy_id = enclave_->ocalls().register_fn(
+      "occupy", [&worker_busy](MarshalledCall& call) {
+        if (on_occupier) return;
+        worker_busy.store(true);
+        burn_cycles(static_cast<SpinArgs*>(call.args)->cycles);
+      });
   IntelSlConfig cfg;
   cfg.num_workers = 1;
   cfg.retries_before_fallback = 100;  // short rbf for the test
-  cfg.switchless_fns = {nop_id_, spin_id_};
+  cfg.switchless_fns = {nop_id_, occupy_id};
   auto* backend = install(cfg);
 
-  // Occupy the single worker with a long call from another thread.
-  std::atomic<bool> long_call_started{false};
-  std::jthread occupier([&] {
-    SpinArgs args;
-    args.cycles = 400'000'000;  // ~100 ms
-    long_call_started.store(true);
-    enclave_->ocall(spin_id_, args);
+  // Occupy the single worker with a long call from another thread,
+  // re-issuing it for as long as it falls back.
+  std::jthread occupier([&](const std::stop_token& st) {
+    on_occupier = true;
+    while (!worker_busy.load() && !st.stop_requested()) {
+      SpinArgs args;
+      args.cycles = 400'000'000;  // ~100 ms
+      enclave_->ocall(occupy_id, args);
+    }
   });
-  while (!long_call_started.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(10ms);  // ensure the worker picked it up
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!worker_busy.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(worker_busy.load()) << "the worker never accepted the call";
 
   NopArgs args;
   const CallPath path = enclave_->ocall(nop_id_, args);

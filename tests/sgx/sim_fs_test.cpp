@@ -194,6 +194,29 @@ TEST_F(SimFsTest, SyscallCostIsCharged) {
   EXPECT_GE(rdtsc() - t0, 400'000u);
 }
 
+TEST_F(SimFsTest, CostChangeRacingReadsIsRaceFree) {
+  // charge() reads the cost without the registry lock; under
+  // ThreadSanitizer this proves that read is a proper atomic one.
+  const auto w = fs().fopen("f", "wb");
+  fs().fwrite("abcdefgh", 8, w);
+  fs().fclose(w);
+  std::jthread setter([](const std::stop_token& st) {
+    for (std::uint64_t i = 0; !st.stop_requested(); ++i) {
+      fs().set_syscall_cycles(i % 2 == 0 ? 0 : 100);
+    }
+  });
+  const auto h = fs().fopen("f", "rb");
+  char buf[8];
+  for (int i = 0; i < 2'000; ++i) {
+    ASSERT_EQ(fs().fseeko(h, 0, SEEK_SET), 0);
+    ASSERT_EQ(fs().fread(buf, sizeof(buf), h), sizeof(buf));
+  }
+  setter.request_stop();
+  setter.join();
+  fs().fclose(h);
+  EXPECT_EQ(std::string(buf, sizeof(buf)), "abcdefgh");
+}
+
 TEST_F(SimFsTest, ConcurrentWritersOnDistinctFiles) {
   std::vector<std::jthread> threads;
   for (int t = 0; t < 8; ++t) {
