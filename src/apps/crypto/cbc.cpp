@@ -13,15 +13,7 @@ CbcEncryptor::CbcEncryptor(const std::uint8_t key[Aes256::kKeySize],
 
 void CbcEncryptor::update(const std::uint8_t* in, std::size_t n,
                           std::uint8_t* out) {
-  assert(n % Aes256::kBlockSize == 0);
-  for (std::size_t off = 0; off < n; off += Aes256::kBlockSize) {
-    std::uint8_t block[Aes256::kBlockSize];
-    for (std::size_t i = 0; i < Aes256::kBlockSize; ++i) {
-      block[i] = static_cast<std::uint8_t>(in[off + i] ^ iv_[i]);
-    }
-    aes_.encrypt_block(block, out + off);
-    std::memcpy(iv_, out + off, Aes256::kBlockSize);
-  }
+  aes_.cbc_encrypt(iv_, in, n, out);
 }
 
 void CbcEncryptor::final(const std::uint8_t* in, std::size_t n,
@@ -43,17 +35,7 @@ CbcDecryptor::CbcDecryptor(const std::uint8_t key[Aes256::kKeySize],
 
 void CbcDecryptor::update(const std::uint8_t* in, std::size_t n,
                           std::uint8_t* out) {
-  assert(n % Aes256::kBlockSize == 0);
-  for (std::size_t off = 0; off < n; off += Aes256::kBlockSize) {
-    std::uint8_t cipher[Aes256::kBlockSize];
-    std::memcpy(cipher, in + off, Aes256::kBlockSize);  // in may alias out
-    std::uint8_t block[Aes256::kBlockSize];
-    aes_.decrypt_block(cipher, block);
-    for (std::size_t i = 0; i < Aes256::kBlockSize; ++i) {
-      out[off + i] = static_cast<std::uint8_t>(block[i] ^ iv_[i]);
-    }
-    std::memcpy(iv_, cipher, Aes256::kBlockSize);
-  }
+  aes_.cbc_decrypt(iv_, in, n, out);
 }
 
 int CbcDecryptor::unpad(const std::uint8_t block[Aes256::kBlockSize]) noexcept {

@@ -34,7 +34,8 @@ class CbcDecryptor {
   CbcDecryptor(const std::uint8_t key[Aes256::kKeySize],
                const std::uint8_t iv[Aes256::kBlockSize]) noexcept;
 
-  /// Decrypts `n` bytes (multiple of 16) from `in` to `out`.
+  /// Decrypts `n` bytes (multiple of 16) from `in` to `out` (`out` may
+  /// equal `in`). Chunks chain across calls via the running IV.
   void update(const std::uint8_t* in, std::size_t n, std::uint8_t* out);
 
   /// Strips PKCS#7 padding from the final decrypted block `block` (16

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "apps/crypto/cbc.hpp"
 #include "sgx/marshal.hpp"
 
 namespace zc::app {
@@ -23,35 +22,43 @@ void sector_iv(std::uint64_t index, std::uint8_t iv[16]) {
 // takes no closures), with the cipher state threaded through inplace_ctx.
 
 struct ProduceCtx {
-  CbcEncryptor* enc;
+  const Aes256* aes;
+  std::uint8_t* iv;
   const std::uint8_t* plain;
 };
 
 void encrypt_into_frame(void* dst, std::size_t n, void* ctx) {
   auto* c = static_cast<ProduceCtx*>(ctx);
-  c->enc->update(c->plain, n, static_cast<std::uint8_t*>(dst));
+  c->aes->cbc_encrypt(c->iv, c->plain, n, static_cast<std::uint8_t*>(dst));
 }
 
 struct ConsumeCtx {
-  CbcDecryptor* dec;
+  const Aes256* aes;
+  std::uint8_t* iv;
   std::uint8_t* plain;
 };
 
+// Reads each ciphertext block of the untrusted frame exactly once (see
+// Aes256::cbc_decrypt), so a host rewriting the frame mid-call cannot make
+// the decryption see two different values of one block.
 void decrypt_from_frame(const void* src, std::size_t n, void* ctx) {
   auto* c = static_cast<ConsumeCtx*>(ctx);
-  c->dec->update(static_cast<const std::uint8_t*>(src), n, c->plain);
+  c->aes->cbc_decrypt(c->iv, static_cast<const std::uint8_t*>(src), n,
+                      c->plain);
 }
 
 }  // namespace
 
 SectorStore::SectorStore(EnclaveLibc& libc, std::string path,
                          std::size_t sector_bytes, const std::uint8_t key[32])
-    : libc_(&libc), path_(std::move(path)), sector_bytes_(sector_bytes) {
+    : libc_(&libc),
+      path_(std::move(path)),
+      sector_bytes_(sector_bytes),
+      aes_(key) {
   if (sector_bytes_ == 0 || sector_bytes_ % Aes256::kBlockSize != 0) {
     sector_bytes_ = 0;  // invalid; every operation refuses
     return;
   }
-  std::memcpy(key_, key, sizeof(key_));
   staging_.resize(sector_bytes_);
 }
 
@@ -74,16 +81,15 @@ bool SectorStore::write_sector(std::uint64_t index, const std::uint8_t* plain,
   if (!valid() || !file_) return false;
   std::uint8_t iv[16];
   sector_iv(index, iv);
-  CbcEncryptor enc(key_, iv);
 
   if (mode == CopyMode::kDouble) {
-    enc.update(plain, sector_bytes_, staging_.data());
+    aes_.cbc_encrypt(iv, plain, sector_bytes_, staging_.data());
     return file_.write(staging_.data(), sector_bytes_) == sector_bytes_;
   }
 
   // Single copy: the producer CBC-encrypts straight into the untrusted
   // frame — ciphertext never exists in trusted memory.
-  ProduceCtx ctx{&enc, plain};
+  ProduceCtx ctx{&aes_, iv, plain};
   FwriteArgs args;
   args.handle = file_.native_handle();
   args.size = sector_bytes_;
@@ -103,18 +109,17 @@ bool SectorStore::read_sector(std::uint64_t index, std::uint8_t* plain,
   if (!valid() || !file_) return false;
   std::uint8_t iv[16];
   sector_iv(index, iv);
-  CbcDecryptor dec(key_, iv);
 
   if (mode == CopyMode::kDouble) {
     if (file_.read(staging_.data(), sector_bytes_) != sector_bytes_) {
       return false;
     }
-    dec.update(staging_.data(), sector_bytes_, plain);
+    aes_.cbc_decrypt(iv, staging_.data(), sector_bytes_, plain);
     return true;
   }
 
   // Single copy: the consumer decrypts straight out of the untrusted frame.
-  ConsumeCtx ctx{&dec, plain};
+  ConsumeCtx ctx{&aes_, iv, plain};
   FreadArgs args;
   args.handle = file_.native_handle();
   args.size = sector_bytes_;

@@ -32,7 +32,10 @@ struct CellLease {
 // every block ever carved, so returning one never allocates.
 constexpr std::size_t kBlocksPerSlab = 256;
 std::mutex g_blocks_mu;
-std::vector<CounterCell*> g_free_blocks;  // guarded by g_blocks_mu
+// Never destroyed, so at exit every slab is still reachable through it
+// (the slabs are kept on purpose; leak checkers must not report them).
+std::vector<CounterCell*>& g_free_blocks =
+    *new std::vector<CounterCell*>;  // guarded by g_blocks_mu
 std::size_t g_carved_blocks = 0;          // guarded by g_blocks_mu
 
 }  // namespace
