@@ -71,7 +71,7 @@ std::string join(const std::vector<std::string>& parts, char sep) {
 }
 
 // First ';' or ',' of `s` at parenthesis depth 0 (npos when none) — how a
-// nested `inner=(zc_batched:batch=8;flush=feedback)` value carries the
+// nested `inner=(zc_batched:batch=8;flush_us=50)` value carries the
 // separators of a whole spec.  Throws on unbalanced parentheses.
 std::size_t find_separator(std::string_view s, std::string_view whole) {
   int depth = 0;
@@ -456,38 +456,12 @@ std::unique_ptr<CallBackend> build_zc_sharded(Enclave& enclave,
   const std::string policy = spec.get_string("policy", "round_robin");
   if (policy == "round_robin") {
     cfg.policy = ShardPolicy::kRoundRobin;
-  } else if (policy == "caller_affinity") {
-    cfg.policy = ShardPolicy::kCallerAffinity;
   } else if (policy == "least_loaded") {
     cfg.policy = ShardPolicy::kLeastLoaded;
-  } else if (policy == "affinity_load") {
-    cfg.policy = ShardPolicy::kAffinityLoad;
   } else {
-    bad_value("policy", policy,
-              "round_robin/caller_affinity/least_loaded/affinity_load");
+    bad_value("policy", policy, "round_robin/least_loaded");
   }
-  if (spec.has("load_threshold")) {
-    if (cfg.policy != ShardPolicy::kAffinityLoad) {
-      throw BackendSpecError(
-          "zc_sharded: load_threshold is affinity_load's escape hatch; it "
-          "needs policy=affinity_load");
-    }
-    cfg.load_threshold = spec.get_u64("load_threshold", cfg.load_threshold);
-  }
-  // steal: the on/off spellings (on = the documented alias for scan-order
-  // victim selection), or an explicit victim policy.
-  const std::string steal = spec.get_string("steal", "off");
-  if (steal == "scan" || steal == "on" || steal == "true" || steal == "yes" ||
-      steal == "1") {
-    cfg.steal = ShardSteal::kScan;
-  } else if (steal == "max_load") {
-    cfg.steal = ShardSteal::kMaxLoad;
-  } else if (steal == "off" || steal == "false" || steal == "no" ||
-             steal == "0") {
-    cfg.steal = ShardSteal::kOff;
-  } else {
-    bad_value("steal", steal, "on/off/scan/max_load");
-  }
+  cfg.steal = spec.get_bool("steal", cfg.steal);
   const CallDirection direction = parse_direction(spec);
   cfg.direction = direction;
   if (spec.has("inner")) {
@@ -544,37 +518,6 @@ std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
   cfg.batch = spec.get_unsigned("batch", cfg.batch);
   if (cfg.batch == 0) {
     throw BackendSpecError("zc_batched: batch must be > 0");
-  }
-  // Partial-flush policy: a fixed timer window (default, tuned with
-  // flush_us) or the feedback controller (flush=feedback, period tuned
-  // with quantum_us).  The knobs are mutually exclusive per policy.
-  const std::string flush_policy = spec.get_string("flush", "timer");
-  if (flush_policy == "feedback") {
-    cfg.flush_policy = BatchFlushPolicy::kFeedback;
-  } else if (flush_policy != "timer") {
-    bad_value("flush", flush_policy, "timer/feedback");
-  }
-  if (cfg.flush_policy == BatchFlushPolicy::kFeedback) {
-    if (spec.has("flush_us")) {
-      throw BackendSpecError(
-          "zc_batched: flush_us fixes the timer window; flush=feedback "
-          "replaces it with the adaptive controller (pick one)");
-    }
-    if (cfg.batch == 1) {
-      throw BackendSpecError(
-          "zc_batched: flush=feedback conflicts with batch=1 (every "
-          "publish flushes immediately; no window to adapt)");
-    }
-    const std::uint64_t quantum_us = spec.get_u64(
-        "quantum_us", static_cast<std::uint64_t>(cfg.quantum.count()));
-    if (quantum_us == 0) {
-      throw BackendSpecError("zc_batched: quantum_us must be > 0");
-    }
-    cfg.quantum = std::chrono::microseconds(quantum_us);
-  } else if (spec.has("quantum_us")) {
-    throw BackendSpecError(
-        "zc_batched: quantum_us is the feedback controller's period; it "
-        "needs flush=feedback");
   }
   const std::uint64_t flush_us = spec.get_u64(
       "flush_us", static_cast<std::uint64_t>(cfg.flush.count()));
@@ -767,17 +710,18 @@ BackendRegistry& BackendRegistry::instance() {
          with_zc_worker_plane_options({"direction"}), build_zc});
     r->register_backend(
         {"zc_sharded",
-         "switchless router over N independent shards (any inner= backend; "
-         "per-shard schedulers, load-aware routing, optional stealing)",
-         with_zc_worker_plane_options({"shards", "policy", "load_threshold",
-                                       "steal", "inner", "direction"}),
+         "switchless router over N independent shards (any leaf inner= "
+         "backend; per-shard schedulers, load-aware routing, optional "
+         "stealing)",
+         with_zc_worker_plane_options(
+             {"shards", "policy", "steal", "inner", "direction"}),
          build_zc_sharded});
     r->register_backend(
         {"zc_batched",
-         "ZC with per-worker batch buffers flushed on batch=K, flush_us=T "
-         "or the adaptive flush=feedback window",
-         {"workers", "batch", "flush", "flush_us", "quantum_us", "spin_us",
-          "wait", "pool_bytes", "pool", "copy", "direction"},
+         "ZC with per-worker batch buffers flushed on batch=K, after a "
+         "flush_us=T window, or eagerly for a lone caller",
+         {"workers", "batch", "flush_us", "spin_us", "wait", "pool_bytes",
+          "pool", "copy", "direction"},
          build_zc_batched});
     r->register_backend(
         {"zc_async",
@@ -821,26 +765,6 @@ std::vector<std::string> BackendRegistry::keys() const {
   return out;
 }
 
-namespace {
-
-// Levels of explicit `inner=` nesting below `spec` (0 for a leaf).  Bounds
-// the composition lattice: depth 2 (a sharded-of-sharded over a leaf) is
-// the deepest spec the registry accepts.
-unsigned inner_depth(const BackendSpec& spec) {
-  const BackendSpec::Option* inner = spec.find("inner");
-  if (inner == nullptr) return 0;
-  if (inner->values.size() != 1) {
-    throw BackendSpecError(
-        "option 'inner' expects a single parenthesised spec, got a list of " +
-        std::to_string(inner->values.size()));
-  }
-  return 1 + inner_depth(BackendSpec::parse(inner->values.front()));
-}
-
-constexpr unsigned kMaxInnerDepth = 2;
-
-}  // namespace
-
 const BackendRegistry::Entry& BackendRegistry::entry_for(
     const BackendSpec& spec) const {
   for (const auto& entry : entries_) {
@@ -859,16 +783,20 @@ const BackendRegistry::Entry& BackendRegistry::entry_for(
           // A nested spec is validated like a top-level one (grammar, key,
           // option names, its own inner=), so bad compositions fail at
           // validate() time, not first at create().
-          if (inner_depth(spec) > kMaxInnerDepth) {
-            throw BackendSpecError(
-                "spec '" + spec.to_string() + "': inner= specs nest at most " +
-                std::to_string(kMaxInnerDepth) + " levels deep");
-          }
           if (opt.values.size() != 1) {
             throw BackendSpecError(
                 "option 'inner' expects a single parenthesised spec");
           }
-          entry_for(BackendSpec::parse(opt.values.front()));
+          const BackendSpec inner = BackendSpec::parse(opt.values.front());
+          // A shard is a leaf: the router never routes to a router.
+          if (spec.key == "zc_sharded" &&
+              (inner.key == "zc_sharded" || inner.has("inner"))) {
+            throw BackendSpecError(
+                "spec '" + spec.to_string() +
+                "': a zc_sharded shard is a leaf; its inner= spec may not be "
+                "zc_sharded or carry inner=");
+          }
+          entry_for(inner);
         }
       }
       return entry;
@@ -902,11 +830,11 @@ std::string BackendRegistry::help() const {
       "       \"zc_sharded:shards=4;policy=least_loaded;steal=on\",\n"
       "       \"zc_sharded:shards=2;inner=(zc_batched:batch=8)\",\n"
       "       \"zc_batched:workers=2;batch=8;flush_us=100;spin_us=0\",\n"
-      "       \"zc_batched:workers=2;batch=8;flush=feedback\",\n"
       "       \"zc_async:workers=2;queue=16\"\n"
       "  direction=ecall installs the backend on the trusted-function\n"
       "  (ecall) plane where supported.  inner=(...) nests a whole spec:\n"
-      "  the sharded router builds every shard from it (2 levels max).\n"
+      "  the sharded router builds every shard from it (a leaf spec:\n"
+      "  not zc_sharded, no inner= of its own).\n"
       "  wait= picks the blocked-caller policy (spin/yield/futex/condvar)\n"
       "  once the spin_us budget expires.  pool=slab swaps the bump frame\n"
       "  pools for a shared size-classed slab; copy=single advertises the\n"

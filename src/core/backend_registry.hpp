@@ -23,8 +23,8 @@
 //   "zc:workers=4,quantum_us=10000"
 //   "intel:sl=read,write;workers=2;rbf=20000"
 //   "hotcalls:workers=2"
-//   "zc_sharded:shards=4;policy=caller_affinity;workers=1"
-//   "zc_sharded:shards=4;inner=(zc_batched:batch=8;flush=feedback)"
+//   "zc_sharded:shards=4;policy=least_loaded;workers=1"
+//   "zc_sharded:shards=4;inner=(zc_batched:batch=8;flush_us=50)"
 //   "zc_batched:workers=2;batch=8;flush_us=100;spin_us=0"
 //   "zc:wait=futex;spin_us=0"           (blocked callers futex-sleep)
 //   "zc_async:workers=2;queue=16"       (submit()/wait() futures, no spin)
@@ -34,8 +34,9 @@
 // a comma-separated segment without '=' appends to the preceding option.
 // A parenthesised value keeps its ';'/','/':' intact — that is how
 // `zc_sharded:inner=(...)` carries a whole nested spec, which the sharded
-// builder feeds back through the registry to build each shard (two levels
-// of nesting at most; the parens round-trip through to_string()).
+// builder feeds back through the registry to build each shard (a shard is
+// a leaf: its spec is no zc_sharded and carries no inner= of its own; the
+// parens round-trip through to_string()).
 //
 // Backends that can serve the trusted-function plane accept
 // `direction=ecall`; install_backend_spec() then installs them via

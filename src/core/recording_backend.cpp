@@ -56,19 +56,6 @@ CallPath RecordingBackend::invoke(const CallDesc& desc) {
   return path;
 }
 
-bool RecordingBackend::try_invoke_switchless(const CallDesc& desc) {
-  stats_.in_flight.add();
-  const std::uint64_t t0 = wall_ns();
-  const bool served = inner_->try_invoke_switchless(desc);
-  const std::uint64_t t1 = wall_ns();
-  stats_.in_flight.sub();
-  if (served) {
-    stats_.switchless_calls.add();
-    record(desc, CallPath::kSwitchless, t0, t1);
-  }
-  return served;
-}
-
 void RecordingBackend::record(const CallDesc& desc, CallPath /*path*/,
                               std::uint64_t t0_ns, std::uint64_t t1_ns) {
   workload::TraceRecord r;

@@ -47,7 +47,6 @@ class RecordingBackend final : public CallBackend {
   void start() override;
   void stop() override;
   CallPath invoke(const CallDesc& desc) override;
-  bool try_invoke_switchless(const CallDesc& desc) override;
   const char* name() const noexcept override { return name_.c_str(); }
   BackendStatsSnapshot stats_snapshot() const override {
     return inner_->stats_snapshot();

@@ -7,25 +7,6 @@
 
 namespace zc {
 
-std::uint64_t adapt_flush_window(std::uint64_t window_ns,
-                                 std::uint64_t flushes_delta,
-                                 std::uint64_t calls_delta, unsigned batch,
-                                 std::uint64_t min_ns,
-                                 std::uint64_t max_ns) noexcept {
-  if (flushes_delta == 0 || batch == 0) return window_ns;  // no signal
-  // Integer comparisons of the mean fill calls_delta / flushes_delta
-  // against batch/2 and 0.9*batch, without division.
-  if (calls_delta * 2 < flushes_delta * batch) {
-    const std::uint64_t grown = window_ns * 2;
-    return grown > max_ns ? max_ns : grown;
-  }
-  if (calls_delta * 10 >= flushes_delta * batch * 9) {
-    const std::uint64_t shrunk = window_ns / 2;
-    return shrunk < min_ns ? min_ns : shrunk;
-  }
-  return window_ns;
-}
-
 ZcScheduler::ZcScheduler(Enclave& enclave, const ZcConfig& cfg,
                          std::vector<std::unique_ptr<ZcWorker>>& workers,
                          BackendStats& stats,

@@ -24,26 +24,6 @@
 
 namespace zc {
 
-/// Feedback rule for the batched backend's partial-flush window
-/// (`zc_batched:flush=feedback`): the same grow/shrink-by-quantum idea the
-/// scheduler applies to worker counts, applied to the flush grace period.
-/// Called once per quantum with the flush/call deltas observed during it:
-///  - mean fill < batch/2  -> the timer is firing on mostly-empty buffers;
-///    double the window (toward `max_ns`) so arrivals get longer to
-///    coalesce and each sweep amortises more calls;
-///  - mean fill >= 90% of batch -> demand fills buffers on its own; halve
-///    the window (toward `min_ns`) so a straggler published right after a
-///    full flush is not stranded behind a long grace period;
-///  - otherwise, or with no flushes observed, keep the window.
-/// Pure and single-threaded by contract (exposed for unit tests); the
-/// batched backend's controller thread applies the result to the live
-/// window atomically.
-std::uint64_t adapt_flush_window(std::uint64_t window_ns,
-                                 std::uint64_t flushes_delta,
-                                 std::uint64_t calls_delta, unsigned batch,
-                                 std::uint64_t min_ns,
-                                 std::uint64_t max_ns) noexcept;
-
 class ZcScheduler {
  public:
   /// `workers`, `stats` and `active_count` must outlive the scheduler.

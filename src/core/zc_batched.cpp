@@ -2,20 +2,9 @@
 
 #include "common/cycles.hpp"
 #include "common/pin.hpp"
-#include "core/scheduler.hpp"
 #include "sgx/marshal.hpp"
 
 namespace zc {
-
-const char* to_string(BatchFlushPolicy policy) noexcept {
-  switch (policy) {
-    case BatchFlushPolicy::kTimer:
-      return "timer";
-    case BatchFlushPolicy::kFeedback:
-      return "feedback";
-  }
-  return "?";
-}
 
 ZcBatchedBackend::Worker::Worker(unsigned batch, std::size_t pool_bytes) {
   slots.reserve(batch);
@@ -36,14 +25,14 @@ void ZcBatchedBackend::wake(Worker& w) {
 }
 
 ZcBatchedBackend::ZcBatchedBackend(Enclave& enclave, ZcBatchedConfig cfg)
-    : enclave_(enclave), cfg_(std::move(cfg)) {
+    : enclave_(enclave),
+      cfg_(std::move(cfg)),
+      flush_ns_(static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000) {
   if (cfg_.pool == FramePoolKind::kSlab) {
     slab_ = std::make_unique<SlabPool>();
     slab_->set_counters(SlabPool::Counters{
         &stats_.slab_hits, &stats_.slab_misses, &stats_.slab_grows});
   }
-  flush_ns_.store(static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000,
-                  std::memory_order_relaxed);
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
     workers_.push_back(
@@ -59,10 +48,6 @@ void ZcBatchedBackend::start() {
     w->cmd.store(WorkerCmd::kRun, std::memory_order_release);
     w->thread = std::jthread([this, worker = w.get()] { worker_main(*worker); });
   }
-  if (cfg_.flush_policy == BatchFlushPolicy::kFeedback) {
-    controller_ =
-        std::jthread([this](std::stop_token st) { controller_main(st); });
-  }
   active_count_.store(static_cast<unsigned>(workers_.size()),
                       std::memory_order_release);
 }
@@ -70,49 +55,10 @@ void ZcBatchedBackend::start() {
 void ZcBatchedBackend::stop() {
   if (!running_.exchange(false)) return;
   active_count_.store(0, std::memory_order_release);
-  if (controller_.joinable()) {
-    controller_.request_stop();
-    controller_cv_.notify_all();
-    controller_.join();
-  }
   for (auto& w : workers_) {
     w->cmd.store(WorkerCmd::kExit, std::memory_order_seq_cst);
     wake(*w);
     if (w->thread.joinable()) w->thread.join();
-  }
-}
-
-// Re-decides the partial-flush window once per quantum from the flush and
-// call deltas observed during it.  Workers pick up the new window on their
-// next sweep; pause/resume is unaffected (a draining worker flushes
-// regardless of the window), so no batch is ever stranded by adaptation.
-void ZcBatchedBackend::controller_main(const std::stop_token& st) {
-  const std::uint64_t base_ns =
-      static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000;
-  const std::uint64_t min_ns = base_ns / 8 > 1'000 ? base_ns / 8 : 1'000;
-  const std::uint64_t max_ns = base_ns * 8;
-  std::uint64_t last_flushes = stats_.batch_flushes.load();
-  std::uint64_t last_calls = stats_.switchless_calls.load();
-  while (!st.stop_requested()) {
-    {
-      // Interruptible quantum sleep: wait_for returns early (without the
-      // timeout) once stop is requested; the loop condition exits then.
-      std::unique_lock lock(controller_mu_);
-      controller_cv_.wait_for(lock, st, cfg_.quantum, [] { return false; });
-    }
-    if (st.stop_requested()) break;
-    const std::uint64_t flushes = stats_.batch_flushes.load();
-    const std::uint64_t calls = stats_.switchless_calls.load();
-    const std::uint64_t window = flush_ns_.load(std::memory_order_relaxed);
-    const std::uint64_t next =
-        adapt_flush_window(window, flushes - last_flushes, calls - last_calls,
-                           cfg_.batch, min_ns, max_ns);
-    if (flushes != last_flushes) {
-      flush_decisions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    flush_ns_.store(next, std::memory_order_relaxed);
-    last_flushes = flushes;
-    last_calls = calls;
   }
 }
 
@@ -279,14 +225,13 @@ void ZcBatchedBackend::dispatch_slot(Slot& slot) {
 }
 
 ZcBatchedBackend::FlushCause ZcBatchedBackend::flush_cause(
-    const Sweep& sweep, WorkerCmd cmd, std::uint64_t flush_ns,
-    bool eager) const noexcept {
+    const Sweep& sweep, WorkerCmd cmd, bool eager) const noexcept {
   if (sweep.pending == 0) return FlushCause::kNone;
   if (sweep.pending >= cfg_.batch) return FlushCause::kFull;
   // A leaving worker drains; it never strands a caller.
   if (cmd != WorkerCmd::kRun) return FlushCause::kCommand;
   if (eager && !sweep.claimed) return FlushCause::kEager;
-  if (wall_ns() - sweep.oldest_ns >= flush_ns) return FlushCause::kWindow;
+  if (wall_ns() - sweep.oldest_ns >= flush_ns_) return FlushCause::kWindow;
   return FlushCause::kNone;
 }
 
@@ -355,9 +300,6 @@ void ZcBatchedBackend::worker_main(Worker& w) {
   bool eager = false;
   for (;;) {
     const WorkerCmd cmd = w.cmd.load(std::memory_order_acquire);
-    // Re-read per sweep: under flush=feedback the controller retunes the
-    // window while workers run (fixed at cfg_.flush under the timer).
-    const std::uint64_t flush_ns = flush_ns_.load(std::memory_order_relaxed);
 
     Sweep sweep;
     sweep.oldest_ns = ~std::uint64_t{0};
@@ -373,7 +315,7 @@ void ZcBatchedBackend::worker_main(Worker& w) {
     }
 
     if (sweep.pending > 0) {
-      const FlushCause cause = flush_cause(sweep, cmd, flush_ns, eager);
+      const FlushCause cause = flush_cause(sweep, cmd, eager);
       if (cause != FlushCause::kNone) {
         const unsigned served = flush(w);
         if (cause == FlushCause::kWindow && served == 1) eager = true;

@@ -8,8 +8,8 @@
 // The worker sweeps its buffer and executes *all* published requests in one
 // pass — one wakeup, one sweep, K calls — flushing when the buffer fills
 // (`batch=K`), when the oldest published request has waited out the
-// flush window, or eagerly, as soon as nothing suggests that another
-// publisher is coming.
+// flush window (`flush_us=T`), or eagerly, as soon as nothing suggests
+// that another publisher is coming.
 //
 // The eager flush is Nagle's algorithm (RFC 896) learned per worker: a
 // worker starts out waiting, and a window flush that served exactly one
@@ -20,18 +20,6 @@
 // caught mid-claim still holds the flush until it publishes or the window
 // expires, which is what keeps concurrent publishes batching.  The window
 // therefore bounds only the wait for co-publishers that are expected.
-//
-// Two partial-flush policies pick that window:
-//  - timer (`flush_us=T`): a fixed window, the original design;
-//  - feedback (`flush=feedback`): a controller thread re-decides the
-//    window every quantum from the observed mean batch fill — the
-//    feedback scheduler's grow/shrink-by-quantum idea applied to the
-//    flush grace instead of the worker count (rule: adapt_flush_window in
-//    core/scheduler.hpp).  Mostly-empty timer flushes widen the window
-//    (more amortisation under sparse load); buffers that fill on their
-//    own narrow it (stragglers right after a burst flush promptly).  The
-//    window is clamped to [flush/8 (>= 1us), flush*8], so no caller is
-//    ever stranded longer than 8x the configured base window.
 //
 // Slot life cycle (per slot, lock-free on the hot path):
 //
@@ -68,26 +56,13 @@
 
 namespace zc {
 
-enum class BatchFlushPolicy : std::uint8_t {
-  kTimer,     ///< fixed window: flush_us, never adapted
-  kFeedback,  ///< window re-decided every quantum from observed batch fill
-};
-
-const char* to_string(BatchFlushPolicy policy) noexcept;
-
 struct ZcBatchedConfig {
   unsigned workers = 2;  ///< batch workers, each owning one buffer (> 0)
   unsigned batch = 8;    ///< slots per worker buffer; flush when full (> 0)
   /// Max age of the oldest published request before a partial flush: how
   /// long a worker waits while co-publishers are expected (an eager
-  /// worker flushes at once when no producer is mid-claim).  The fixed
-  /// window under kTimer; the initial window and the anchor of the
-  /// [flush/8, flush*8] clamp under kFeedback.
+  /// worker flushes at once when no producer is mid-claim).
   std::chrono::microseconds flush{100};
-  BatchFlushPolicy flush_policy = BatchFlushPolicy::kTimer;
-  /// Feedback controller period: how often the flush window is re-decided
-  /// (kFeedback only; the paper's scheduler quantum default).
-  std::chrono::microseconds quantum{10'000};
   /// Caller-side wait policy: spin (`pause`) for at most this budget, then
   /// yield between result polls.  0 = yield immediately (narrowest-host
   /// politeness); a large budget approximates hotcalls-style pure spinning.
@@ -144,18 +119,6 @@ class ZcBatchedBackend final : public CallBackend {
   /// is switchless_calls / batch_flushes.
   std::uint64_t flushes() const noexcept {
     return stats_.batch_flushes.load();
-  }
-
-  /// The partial-flush window currently in force (fixed under the timer
-  /// policy; live controller output under flush=feedback).
-  std::uint64_t flush_window_ns() const noexcept {
-    return flush_ns_.load(std::memory_order_relaxed);
-  }
-
-  /// Window re-decisions taken by the feedback controller so far (0 under
-  /// the timer policy; counts quanta with traffic, not window changes).
-  std::uint64_t flush_decisions() const noexcept {
-    return flush_decisions_.load(std::memory_order_relaxed);
   }
 
   const ZcBatchedConfig& config() const noexcept { return cfg_; }
@@ -219,14 +182,13 @@ class ZcBatchedBackend final : public CallBackend {
 
   /// The flush decision (see the header comment).
   FlushCause flush_cause(const Sweep& sweep, WorkerCmd cmd,
-                         std::uint64_t flush_ns, bool eager) const noexcept;
+                         bool eager) const noexcept;
 
   static void wake(Worker& w);
   void worker_main(Worker& w);
   unsigned flush(Worker& w);
   void dispatch_slot(Slot& slot);
   void await_done(Slot& slot);
-  void controller_main(const std::stop_token& st);
   void execute_regular(const CallDesc& desc);
   CallPath fallback(const CallDesc& desc);
 
@@ -238,17 +200,14 @@ class ZcBatchedBackend final : public CallBackend {
   /// Rotating claim start.  64-bit so the rotation index `(first + i) % m`
   /// never jumps at a wraparound mid-scan (a 32-bit counter would skew
   /// claim spreading at 2^32); the force-wrap regression test pins the
-  /// behaviour at that boundary.
-  std::atomic<std::uint64_t> ticket_{0};
+  /// behaviour at that boundary.  The one member every call writes, so it
+  /// starts its own cache line: sharing one with cfg_, workers_ or slab_
+  /// would make each claim invalidate what workers and the other caller
+  /// read on every call.
+  alignas(64) std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
-
-  /// Live partial-flush window, read by every worker sweep.  Written only
-  /// by the feedback controller (or fixed at cfg_.flush under kTimer).
-  std::atomic<std::uint64_t> flush_ns_{0};
-  std::atomic<std::uint64_t> flush_decisions_{0};
-  std::mutex controller_mu_;
-  std::condition_variable_any controller_cv_;
-  std::jthread controller_;
+  /// The partial-flush window, cfg_.flush in wall nanoseconds.
+  const std::uint64_t flush_ns_;
 };
 
 std::unique_ptr<ZcBatchedBackend> make_zc_batched_backend(

@@ -1,32 +1,13 @@
 #include "core/zc_sharded.hpp"
 
-#include <functional>
-#include <thread>
-
 namespace zc {
 
 const char* to_string(ShardPolicy policy) noexcept {
   switch (policy) {
     case ShardPolicy::kRoundRobin:
       return "round_robin";
-    case ShardPolicy::kCallerAffinity:
-      return "caller_affinity";
     case ShardPolicy::kLeastLoaded:
       return "least_loaded";
-    case ShardPolicy::kAffinityLoad:
-      return "affinity_load";
-  }
-  return "?";
-}
-
-const char* to_string(ShardSteal steal) noexcept {
-  switch (steal) {
-    case ShardSteal::kOff:
-      return "off";
-    case ShardSteal::kScan:
-      return "scan";
-    case ShardSteal::kMaxLoad:
-      return "max_load";
   }
   return "?";
 }
@@ -44,11 +25,13 @@ ZcShardedBackend::ZcShardedBackend(Enclave& enclave, ZcShardedConfig cfg)
     cfg_.make_shard = [shard = cfg_.shard](Enclave& e) {
       return std::make_unique<ZcBackend>(e, shard);
     };
-    // A frame the per-shard pool cannot hold would be refused by every
-    // shard for the same reason — and a ZC refusal on an exhausted pool
-    // is not free (reservation + reset transition), so oversized frames
-    // must not be probed at all.
-    steal_probe_max_bytes_ = cfg_.shard.worker_pool_bytes;
+    // A frame the per-shard bump pool cannot hold would be refused by
+    // every shard for the same reason — and a ZC refusal on an exhausted
+    // pool is not free (reservation + reset transition), so oversized
+    // frames must not be probed at all.  A slab has no such cliff.
+    if (cfg_.shard.pool == FramePoolKind::kBump) {
+      steal_probe_max_bytes_ = cfg_.shard.worker_pool_bytes;
+    }
   }
   name_ = "zc_sharded";
   if (cfg_.inner_key != "zc") name_ += "[" + cfg_.inner_key + "]";
@@ -118,28 +101,9 @@ unsigned ZcShardedBackend::least_loaded_shard() const noexcept {
 }
 
 unsigned ZcShardedBackend::select_shard() noexcept {
-  const auto n = static_cast<unsigned>(shards_.size());
-  switch (cfg_.policy) {
-    case ShardPolicy::kCallerAffinity:
-      return static_cast<unsigned>(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()) % n);
-    case ShardPolicy::kLeastLoaded:
-      return least_loaded_shard();
-    case ShardPolicy::kAffinityLoad: {
-      // Affinity with a load escape hatch: warm-pool locality while the
-      // home shard keeps up, least_loaded rerouting only beyond the
-      // threshold (home keeps the call if it is still the minimum).
-      const auto home = static_cast<unsigned>(
-          std::hash<std::thread::id>{}(std::this_thread::get_id()) % n);
-      if (shards_[home]->stats().in_flight.load() <= cfg_.load_threshold) {
-        return home;
-      }
-      return least_loaded_shard();
-    }
-    case ShardPolicy::kRoundRobin:
-      break;
-  }
-  return ticket_.fetch_add(1, std::memory_order_relaxed) % n;
+  if (cfg_.policy == ShardPolicy::kLeastLoaded) return least_loaded_shard();
+  return ticket_.fetch_add(1, std::memory_order_relaxed) %
+         static_cast<unsigned>(shards_.size());
 }
 
 // Mirrors a call-path outcome into the live stats() block (callers cache
@@ -162,44 +126,19 @@ CallPath ZcShardedBackend::record(CallPath path) noexcept {
   return path;
 }
 
-// The probe half of routing: try the primary shard, then steal per the
-// configured victim policy.  Never falls back; a true return means some
+// The probe half of routing: try the primary shard, then every other
+// shard once in scan order.  Never falls back; a true return means some
 // shard served the call switchlessly (counted in steals when it was not
 // the primary).
 bool ZcShardedBackend::try_route_switchless(unsigned primary,
                                             const CallDesc& desc) {
   if (shards_[primary]->try_invoke_switchless(desc)) return true;
-  if (cfg_.steal == ShardSteal::kOff) return false;
-  // Bounded steal: probe every other shard once.  A frame no shard could
-  // take (default zc inner: larger than the per-shard pool) is not
-  // probed at all — each refusal would cost a reservation and a
-  // reset-transition in every shard.
+  // A frame no shard could take (default zc inner on bump pools: larger
+  // than the per-shard pool) is not probed at all — each refusal would
+  // cost a reservation and a reset-transition in every shard.
   if (frame_bytes(desc) > steal_probe_max_bytes_) return false;
   const auto n = static_cast<unsigned>(shards_.size());
-  if (n < 2) return false;  // no victims: nothing to probe twice
-  unsigned first_victim = 1;  // scan-order offset from the primary
-  if (cfg_.steal == ShardSteal::kMaxLoad) {
-    // Busiest victim first — the shard whose workers are provably awake
-    // (an idle-looking shard may be parked by its scheduler, where the
-    // probe fails anyway); the rest follow in scan order.  One relaxed
-    // gauge load per shard, no allocation on the contention path; ties
-    // resolve to scan order so an idle backend stays deterministic.
-    std::uint64_t best_load = 0;
-    for (unsigned i = 1; i < n; ++i) {
-      const std::uint64_t load =
-          shards_[(primary + i) % n]->stats().in_flight.load();
-      if (load > best_load) {
-        best_load = load;
-        first_victim = i;
-      }
-    }
-    if (shards_[(primary + first_victim) % n]->try_invoke_switchless(desc)) {
-      stats_.steals.add();
-      return true;
-    }
-  }
   for (unsigned i = 1; i < n; ++i) {
-    if (cfg_.steal == ShardSteal::kMaxLoad && i == first_victim) continue;
     if (shards_[(primary + i) % n]->try_invoke_switchless(desc)) {
       stats_.steals.add();
       return true;
@@ -210,32 +149,14 @@ bool ZcShardedBackend::try_route_switchless(unsigned primary,
 
 CallPath ZcShardedBackend::invoke(const CallDesc& desc) {
   const unsigned primary = select_shard();
-  // The router's own gauge (what an outer router's selectors read) spans
-  // the whole routed call — including fallback execution, which the
-  // router cannot rule out up front and which still occupies the shard.
-  stats_.in_flight.add();
-  CallPath path;
-  if (cfg_.steal == ShardSteal::kOff) {
-    // Strict isolation: the shard's own invoke decides switchless vs
-    // fallback, so its scheduler sees refusals as unmet demand (F_i).
-    path = shards_[primary]->invoke(desc);
-  } else if (try_route_switchless(primary, desc)) {
-    path = CallPath::kSwitchless;
-  } else {
-    // No shard accepted: fall back through the primary shard so its
-    // feedback scheduler still observes the unmet demand as F_i.
-    path = shards_[primary]->invoke(desc);
+  // Without steal=on (strict isolation) the shard's own invoke decides
+  // switchless vs fallback, so its scheduler sees refusals as unmet
+  // demand (F_i).  A stealing call that no shard accepted falls back the
+  // same way, through its primary shard.
+  if (cfg_.steal && try_route_switchless(primary, desc)) {
+    return record(CallPath::kSwitchless);
   }
-  stats_.in_flight.sub();
-  return record(path);
-}
-
-bool ZcShardedBackend::try_invoke_switchless(const CallDesc& desc) {
-  stats_.in_flight.add();
-  const bool served = try_route_switchless(select_shard(), desc);
-  stats_.in_flight.sub();
-  if (served) stats_.switchless_calls.add();
-  return served;
+  return record(shards_[primary]->invoke(desc));
 }
 
 std::unique_ptr<ZcShardedBackend> make_zc_sharded_backend(Enclave& enclave,

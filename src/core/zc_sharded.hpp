@@ -10,49 +10,37 @@
 // synchronise with each other.  The only shared write per call is the
 // lifetime stats() counter block — the same cost every backend pays.
 //
-// The router is *generic*: a shard is any CallBackend, built by a factory,
-// so the same routing/stealing policies compose over plain ZC workers (the
-// default), batched buffers or the async completion table.  The spec plane
-// spells composition as a nested spec —
-// `zc_sharded:shards=4;inner=(zc_batched:batch=8)` — and the router's
-// probe (CallBackend::try_invoke_switchless) plus the per-shard
-// stats().in_flight gauge are the whole inner-backend contract.  Inner
-// planes keep their full option surface: each shard of
-// `inner=(zc_batched:batch=4;wait=futex)` runs its own slot buffers and
-// per-slot completion gates, with no router involvement.
+// The router is *generic*: a shard is any leaf CallBackend, built by a
+// factory, so the same routing/stealing policies compose over plain ZC
+// workers (the default), batched buffers or the async completion table.
+// The spec plane spells composition as a nested spec —
+// `zc_sharded:shards=4;inner=(zc_batched:batch=8)` — and the shard's
+// probe (CallBackend::try_invoke_switchless) plus its stats().in_flight
+// gauge are the whole inner-backend contract.  Inner planes keep their
+// full option surface: each shard of `inner=(zc_batched:batch=4;wait=futex)`
+// runs its own slot buffers and per-slot completion gates, with no router
+// involvement.  A shard is a leaf: never another router, and its spec
+// carries no `inner=` of its own.
 //
 // Shard selection policies:
 //  - round_robin: a relaxed atomic ticket spreads calls evenly.  Best when
 //    callers are homogeneous.
-//  - caller_affinity: the calling thread hashes to a stable shard, so a
-//    thread's requests always hit the same workers (warm pools, no
-//    cross-shard cache-line bouncing).  Best when callers are long-lived.
 //  - least_loaded: routes to the shard with the fewest calls currently
 //    occupying its capacity (each shard's stats().in_flight gauge, one
 //    relaxed load per shard).  Count-blind policies route onto shards
 //    whose workers are tied up in long calls; this one follows *observed*
 //    load.  Ties go to the lowest index, so an idle backend routes
 //    deterministically.
-//  - affinity_load: caller_affinity with a load escape hatch — the call
-//    stays on its home shard while the home's in_flight gauge is at most
-//    `load_threshold`, and reroutes to the least-loaded shard only beyond
-//    it.  Warm-pool locality by default, load-awareness under pressure.
 //
 // By default a call routed to a shard with no capacity falls back to a
 // regular ocall immediately — the paper's §IV-C no-busy-wait property is
-// preserved per shard, and shards stay strictly isolated.  With stealing
-// enabled the caller instead probes the remaining shards once (bounded, no
-// retries, no spinning) and runs on the first one that accepts — a
-// measurable ablation against strict isolation.  Victim selection:
-//  - steal=on (alias: scan): probe in scan order from the primary.
-//  - steal=max_load: probe the busiest (max in_flight) shard first, the
-//    remainder in scan order.  The busiest shard provably has awake
-//    workers right now; an idle-looking shard's workers may all be
-//    parked by its feedback scheduler, where a probe fails anyway
-//    (§IV-C: no waiting for capacity).
-// Stolen calls are counted in stats().steals; a call that no shard accepts
-// still falls back through its *primary* shard, so the primary's feedback
-// scheduler observes the unmet demand.
+// preserved per shard, and shards stay strictly isolated.  With
+// `steal=on` the caller instead probes the remaining shards once, in scan
+// order from the primary (bounded, no retries, no spinning), and runs on
+// the first one that accepts.  Stolen calls are counted in
+// stats().steals; a call that no shard accepts still falls back through
+// its *primary* shard, so the primary's feedback scheduler observes the
+// unmet demand.
 #pragma once
 
 #include <atomic>
@@ -67,28 +55,18 @@
 namespace zc {
 
 enum class ShardPolicy : std::uint8_t {
-  kRoundRobin,      ///< relaxed atomic ticket, even spread
-  kCallerAffinity,  ///< hash of the calling thread id, stable routing
-  kLeastLoaded,     ///< fewest in-flight calls right now (load-aware)
-  kAffinityLoad,    ///< affinity until the home shard exceeds the threshold
-};
-
-enum class ShardSteal : std::uint8_t {
-  kOff,      ///< strict isolation: refusal means immediate fallback
-  kScan,     ///< probe the other shards once, in scan order
-  kMaxLoad,  ///< probe the other shards once, busiest (max in_flight) first
+  kRoundRobin,   ///< relaxed atomic ticket, even spread
+  kLeastLoaded,  ///< fewest in-flight calls right now (load-aware)
 };
 
 const char* to_string(ShardPolicy policy) noexcept;
-const char* to_string(ShardSteal steal) noexcept;
 
 struct ZcShardedConfig {
   unsigned shards = 2;  ///< independent shards (> 0)
   ShardPolicy policy = ShardPolicy::kRoundRobin;
-  ShardSteal steal = ShardSteal::kOff;
-  /// affinity_load's escape hatch: route away from the home shard only
-  /// when its in_flight gauge exceeds this.
-  std::uint64_t load_threshold = 0;
+  /// Probe the other shards once before falling back (false = strict
+  /// isolation: a refusal means immediate fallback).
+  bool steal = false;
   /// Boundary direction of the composed plane (for name()); with the
   /// default inner this is derived from `shard.direction`.
   CallDirection direction = CallDirection::kOcall;
@@ -113,15 +91,6 @@ class ZcShardedBackend final : public CallBackend {
   void start() override;
   void stop() override;
   CallPath invoke(const CallDesc& desc) override;
-  /// The router's own capacity probe, so a router can itself be an inner
-  /// shard of another router (depth-2 composition): routes to the
-  /// selected shard's probe, steals per the configured policy, never
-  /// falls back.  The router also maintains its own stats().in_flight
-  /// gauge across every in-flight call — the load signal an *outer*
-  /// router's selectors read.  Unlike a leaf's gauge it includes calls
-  /// that end up falling back (the router cannot know the path up front,
-  /// and a fallback still occupies the routed shard's attention).
-  bool try_invoke_switchless(const CallDesc& desc) override;
   /// "zc_sharded" for the default inner, "zc_sharded[<inner>]" for a
   /// composed plane, with "-ecall" appended on the trusted direction.
   const char* name() const noexcept override { return name_.c_str(); }
@@ -180,8 +149,9 @@ class ZcShardedBackend final : public CallBackend {
   ZcShardedConfig cfg_;
   std::string name_;
   /// Steal probes are skipped outright for frames no shard could take
-  /// (known for the default inner=(zc): the per-shard pool size; no such
-  /// bound exists for a generic inner, whose probes refuse cheaply).
+  /// (known for the default inner=(zc) on bump pools: the per-shard pool
+  /// size; a slab never refuses for size, and a generic inner's probes
+  /// refuse cheaply).
   std::size_t steal_probe_max_bytes_ = ~std::size_t{0};
   std::vector<std::unique_ptr<CallBackend>> shards_;
   std::atomic<unsigned> ticket_{0};

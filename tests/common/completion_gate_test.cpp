@@ -87,7 +87,14 @@ TEST(CompletionGateTest, YieldPolicyCountsYields) {
         g.word, [](std::uint32_t v) { return v == 1; },
         GateWaitPolicy::kYield, kNoSpin, g.counters());
   });
-  std::this_thread::sleep_for(2ms);
+  // Publish only after the waiter's first counted yield: a waiter first
+  // scheduled after the store would find the predicate true and never
+  // yield.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (g.stats.caller_yields.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(100us);
+  }
   g.word.store(1, std::memory_order_seq_cst);
   // Yielding waiters poll; no notify required.
   waiter.join();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 namespace zc {
@@ -56,14 +57,23 @@ TEST(Cycles, BurnZeroCyclesReturnsImmediately) {
   EXPECT_LT(cycles_to_ns(rdtsc() - c0), 10'000.0);
 }
 
+// Fewest cycles of 5 burn_cycles(target) calls: a preemption landing
+// inside one burn is the host's overshoot, not the loop's.
+std::uint64_t min_burn_cycles(std::uint64_t target) {
+  std::uint64_t best = ~std::uint64_t{0};
+  for (int rep = 0; rep < 5; ++rep) {
+    const std::uint64_t c0 = rdtsc();
+    burn_cycles(target);
+    best = std::min(best, rdtsc() - c0);
+  }
+  return best;
+}
+
 TEST(Cycles, BurnIsReasonablyTight) {
   // burn_cycles should not overshoot by more than ~30% for sizeable burns
   // (one pause granularity of slack for small ones).
   const std::uint64_t target = 1'000'000;
-  const std::uint64_t c0 = rdtsc();
-  burn_cycles(target);
-  const std::uint64_t elapsed = rdtsc() - c0;
-  EXPECT_LT(elapsed, target + target / 3 + 10'000);
+  EXPECT_LT(min_burn_cycles(target), target + target / 3 + 10'000);
 }
 
 TEST(Cycles, PauseNExecutes) {
@@ -86,12 +96,8 @@ TEST(Cycles, MeasuredPauseCostIsMemoised) {
 }
 
 TEST(Cycles, BurnScalesRoughlyLinearly) {
-  const std::uint64_t c0 = rdtsc();
-  burn_cycles(100'000);
-  const std::uint64_t small = rdtsc() - c0;
-  const std::uint64_t c1 = rdtsc();
-  burn_cycles(1'000'000);
-  const std::uint64_t large = rdtsc() - c1;
+  const std::uint64_t small = min_burn_cycles(100'000);
+  const std::uint64_t large = min_burn_cycles(1'000'000);
   EXPECT_GT(large, small * 5);
 }
 

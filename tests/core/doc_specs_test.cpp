@@ -101,22 +101,17 @@ TEST(DocSpecsTest, DocumentedLoadAwareOptionsExist) {
   // validating even if the example blocks are rearranged.
   for (const char* spec :
        {"zc_sharded:policy=least_loaded;steal=on",
-        "zc_batched:flush=feedback;quantum_us=2000",
-        "zc_batched:flush=timer;flush_us=100"}) {
+        "zc_batched:flush_us=100"}) {
     EXPECT_NO_THROW(BackendRegistry::instance().validate(spec)) << spec;
   }
 }
 
 TEST(DocSpecsTest, DocumentedCompositionAndGateOptionsExist) {
   // The composition/wait surface added with the CompletionGate refactor:
-  // nested inner= specs, the affinity_load escape hatch, load-ordered
-  // steal victims and the four gate policies.
+  // nested inner= specs and the four gate policies.
   for (const char* spec :
        {"zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)",
         "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)",
-        "zc_sharded:shards=2;inner=(zc_sharded:shards=2;inner=(zc))",
-        "zc_sharded:policy=affinity_load;load_threshold=2",
-        "zc_sharded:steal=max_load",
         "zc:wait=futex;spin_us=0", "zc:wait=spin", "zc:wait=condvar",
         "zc_batched:wait=futex", "zc_async:wait=futex"}) {
     EXPECT_NO_THROW(BackendRegistry::instance().validate(spec)) << spec;
@@ -126,6 +121,7 @@ TEST(DocSpecsTest, DocumentedCompositionAndGateOptionsExist) {
   // the registry unit tests).
   for (const char* spec :
        {"zc:inner=(no_sl)",
+        "zc_sharded:shards=2;inner=(zc_sharded:shards=2;inner=(zc))",
         "zc_sharded:inner=(zc_sharded:inner=(zc_sharded:inner=(zc)))"}) {
     EXPECT_THROW(BackendRegistry::instance().validate(spec),
                  BackendSpecError)

@@ -14,38 +14,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-TEST(AdaptFlushWindow, GrowsOnMostlyEmptyTimerFlushes) {
-  // Mean fill 1 of batch 8 (below half): double, clamped at max.
-  EXPECT_EQ(adapt_flush_window(100'000, 10, 10, 8, 12'500, 800'000),
-            200'000u);
-  EXPECT_EQ(adapt_flush_window(500'000, 10, 10, 8, 12'500, 800'000),
-            800'000u);  // clamp
-  EXPECT_EQ(adapt_flush_window(800'000, 10, 10, 8, 12'500, 800'000),
-            800'000u);  // already at max
-}
-
-TEST(AdaptFlushWindow, ShrinksOnFullBatches) {
-  // Mean fill == batch (demand fills buffers alone): halve, clamped at min.
-  EXPECT_EQ(adapt_flush_window(100'000, 10, 80, 8, 12'500, 800'000),
-            50'000u);
-  EXPECT_EQ(adapt_flush_window(20'000, 10, 80, 8, 12'500, 800'000),
-            12'500u);  // clamp
-  // 90% of batch is already "full": 7.2 of 8.
-  EXPECT_EQ(adapt_flush_window(100'000, 10, 72, 8, 12'500, 800'000),
-            50'000u);
-}
-
-TEST(AdaptFlushWindow, HoldsInTheMidBandAndWithoutSignal) {
-  // Mean fill 4 of 8: between the half and 90% thresholds — keep.
-  EXPECT_EQ(adapt_flush_window(100'000, 10, 40, 8, 12'500, 800'000),
-            100'000u);
-  // No flushes observed (idle quantum): no signal, keep.
-  EXPECT_EQ(adapt_flush_window(100'000, 0, 0, 8, 12'500, 800'000), 100'000u);
-  // Degenerate batch guard.
-  EXPECT_EQ(adapt_flush_window(100'000, 10, 10, 0, 12'500, 800'000),
-            100'000u);
-}
-
 TEST(WastedCycles, MatchesPaperFormula) {
   // U_i = F_i * T_es + i * window_cycles
   EXPECT_EQ(ZcScheduler::wasted_cycles(0, 13'500, 0, 1'000'000), 0u);

@@ -1,5 +1,6 @@
-// Batched ZC backend: slot life cycle, flush triggers (batch fill, timer
-// and the feedback-adapted window), pause/resume draining, fallback paths,
+// Batched ZC backend: slot life cycle, flush triggers (batch fill, the
+// timer window and the learned eager flush), pause/resume draining,
+// fallback paths,
 // a publish racing stop() and the ecall direction.
 #include "core/zc_batched.hpp"
 
@@ -299,114 +300,6 @@ TEST_F(ZcBatchedTest, SpinOptionReachesTheBackendFromTheSpecPlane) {
   auto* backend = dynamic_cast<ZcBatchedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_EQ(backend->config().spin.count(), 0);
-  EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 2u);
-}
-
-TEST_F(ZcBatchedTest, FeedbackFlushServesLoneCallsPromptly) {
-  // flush=feedback replaces the fixed timer, but a lone partial batch must
-  // still flush within the clamped window — a stranded batch would hang
-  // this sequential loop.
-  ZcBatchedConfig cfg;
-  cfg.workers = 1;
-  cfg.batch = 8;  // never fills with a single sequential caller
-  cfg.flush = 100us;
-  cfg.flush_policy = BatchFlushPolicy::kFeedback;
-  cfg.quantum = std::chrono::microseconds(2'000);
-  auto* backend = install(cfg);
-
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    EchoArgs args;
-    args.in = i;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-    ASSERT_EQ(args.out, i + 1);
-  }
-  EXPECT_GE(backend->flushes(), 1u);
-  EXPECT_EQ(backend->stats().switchless_calls.load(), 200u);
-}
-
-TEST_F(ZcBatchedTest, FeedbackControllerWidensTheWindowUnderSparseLoad) {
-  // A lone sequential caller flushes 1-call batches (fill 1 of 8, below
-  // half): each quantum the controller must double the window until it
-  // hits the 8x clamp.  The window never exceeds the clamp, so no caller
-  // is ever stranded longer than 8x the base window.
-  ZcBatchedConfig cfg;
-  cfg.workers = 1;
-  cfg.batch = 8;
-  cfg.flush = 100us;
-  cfg.flush_policy = BatchFlushPolicy::kFeedback;
-  cfg.quantum = std::chrono::microseconds(2'000);
-  auto* backend = install(cfg);
-
-  const std::uint64_t base_ns = 100'000;
-  EXPECT_EQ(backend->flush_window_ns(), base_ns);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (backend->flush_window_ns() < base_ns * 8 &&
-         std::chrono::steady_clock::now() < deadline) {
-    EchoArgs args;
-    args.in = 1;
-    enclave_->ocall(echo_id_, args);
-    ASSERT_EQ(args.out, 2u);
-  }
-  EXPECT_EQ(backend->flush_window_ns(), base_ns * 8);
-  EXPECT_GT(backend->flush_decisions(), 0u);
-}
-
-TEST_F(ZcBatchedTest, FeedbackFlushNeverStrandsABatchAcrossPauseResume) {
-  // Pause/resume churn while the adaptive window is live: a pausing
-  // worker drains its published slots regardless of the window, so no
-  // call may be lost, duplicated or stranded mid-batch.
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 4;
-  cfg.flush = 50us;
-  cfg.flush_policy = BatchFlushPolicy::kFeedback;
-  cfg.quantum = std::chrono::microseconds(1'000);
-  auto* backend = install(cfg);
-
-  std::atomic<bool> stop{false};
-  std::jthread churner([&] {
-    unsigned m = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      backend->set_active_workers(m % 3);  // 0, 1, 2, 0, ...
-      ++m;
-      std::this_thread::sleep_for(200us);
-    }
-  });
-
-  std::atomic<int> failures{0};
-  std::atomic<std::uint64_t> issued{0};
-  {
-    std::vector<std::jthread> callers;
-    for (int t = 0; t < 2; ++t) {
-      callers.emplace_back([&, t] {
-        for (std::uint64_t i = 0; i < 400; ++i) {
-          EchoArgs args;
-          args.in = static_cast<std::uint64_t>(t) * 10'000 + i;
-          enclave_->ocall(echo_id_, args);
-          issued.fetch_add(1);
-          if (args.out != args.in + 1) failures.fetch_add(1);
-        }
-      });
-    }
-  }
-  stop.store(true);
-  churner.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(backend->stats().total_calls(), issued.load());
-}
-
-TEST_F(ZcBatchedTest, FeedbackPolicyReachesTheBackendFromTheSpecPlane) {
-  install_backend_spec(
-      *enclave_, "zc_batched:workers=1;batch=4;flush=feedback;quantum_us=2000");
-  auto* backend = dynamic_cast<ZcBatchedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->config().flush_policy, BatchFlushPolicy::kFeedback);
-  EXPECT_STREQ(to_string(backend->config().flush_policy), "feedback");
-  EXPECT_EQ(backend->config().quantum.count(), 2'000);
   EchoArgs args;
   args.in = 1;
   EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);

@@ -1,8 +1,7 @@
-// Sharded switchless router: shard routing policies (incl. load-aware
-// least_loaded and affinity_load), bounded cross-shard stealing (scan and
-// max_load victim selection), per-shard isolation, fallback behaviour,
-// generic inner-backend composition (nested `inner=` specs) and the
-// trusted-worker (ecall) direction.
+// Sharded switchless router: shard routing policies (round_robin and the
+// load-aware least_loaded), bounded cross-shard stealing, per-shard
+// isolation, fallback behaviour, generic inner-backend composition (nested
+// `inner=` specs) and the trusted-worker (ecall) direction.
 #include "core/zc_sharded.hpp"
 
 #include <gtest/gtest.h>
@@ -46,14 +45,11 @@ class ZcShardedTest : public ::testing::Test {
 
   // Installs a scheduler-off sharded backend and returns the raw pointer.
   ZcShardedBackend* install(unsigned shards, ShardPolicy policy,
-                            unsigned workers_per_shard,
-                            ShardSteal steal = ShardSteal::kOff,
-                            std::uint64_t load_threshold = 0) {
+                            unsigned workers_per_shard, bool steal = false) {
     ZcShardedConfig cfg;
     cfg.shards = shards;
     cfg.policy = policy;
     cfg.steal = steal;
-    cfg.load_threshold = load_threshold;
     cfg.shard.scheduler_enabled = false;
     cfg.shard.with_initial_workers(workers_per_shard);
     auto backend = make_zc_sharded_backend(*enclave_, cfg);
@@ -107,25 +103,6 @@ TEST_F(ZcShardedTest, RoundRobinSpreadsCallsAcrossShards) {
   EXPECT_EQ(served[0], 100u);
   EXPECT_EQ(served[1], 100u);
   EXPECT_EQ(backend->stats().switchless_calls.load(), 200u);
-}
-
-TEST_F(ZcShardedTest, CallerAffinityPinsAThreadToOneShard) {
-  auto* backend = install(4, ShardPolicy::kCallerAffinity, 1);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EchoArgs args;
-    args.in = i;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  }
-  const auto served = backend->per_shard_served();
-  // Every call from this thread hashed to the same shard.
-  std::uint64_t total = 0;
-  std::uint64_t max_shard = 0;
-  for (const std::uint64_t s : served) {
-    total += s;
-    max_shard = std::max(max_shard, s);
-  }
-  EXPECT_EQ(total, 100u);
-  EXPECT_EQ(max_shard, 100u);
 }
 
 TEST_F(ZcShardedTest, AggregatesActiveWorkersAcrossShards) {
@@ -204,60 +181,12 @@ TEST_F(ZcShardedTest, LeastLoadedRoutesAwayFromAStalledShard) {
   EXPECT_EQ(backend->shard(0).stats().in_flight.load(), 0u);
 }
 
-TEST_F(ZcShardedTest, AffinityLoadStaysHomeWithinTheThreshold) {
-  auto* backend = install(2, ShardPolicy::kAffinityLoad, 1,
-                          ShardSteal::kOff, /*load_threshold=*/5);
-  // Discover this thread's home shard with one call.
-  EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  const auto first = backend->per_shard_served();
-  const unsigned home = first[0] == 1 ? 0 : 1;
-
-  // Stall the home shard: in_flight = 1 <= threshold 5, so affinity holds
-  // and the call (finding the only worker busy) must *fall back*, not
-  // reroute — the threshold really gates the escape hatch.
-  std::jthread holder = stall_shard(*backend, home);
-  args.in = 2;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kFallback);
-  EXPECT_EQ(args.out, 3u);
-  const auto served = backend->per_shard_served();
-  EXPECT_EQ(served[1 - home], 0u);
-  release_stall();
-  holder.join();
-}
-
-TEST_F(ZcShardedTest, AffinityLoadRoutesAwayBeyondTheThreshold) {
-  auto* backend = install(2, ShardPolicy::kAffinityLoad, 1,
-                          ShardSteal::kOff, /*load_threshold=*/0);
-  EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  const auto first = backend->per_shard_served();
-  const unsigned home = first[0] == 1 ? 0 : 1;
-
-  // threshold=0: any in-flight call on the home shard trips the escape
-  // hatch, so every call routes to the (least-loaded) other shard and
-  // stays switchless — warm-pool affinity with a load guarantee.
-  std::jthread holder = stall_shard(*backend, home);
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    args.in = i;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-    EXPECT_EQ(args.out, i + 1);
-  }
-  const auto served = backend->per_shard_served();
-  EXPECT_EQ(served[1 - home], 50u);
-  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
-  release_stall();
-  holder.join();
-}
-
 TEST_F(ZcShardedTest, StealServesFromANonPrimaryShard) {
   // Round-robin tickets start at shard 0, whose only worker is stalled:
   // with steal=on the first call must be served by shard 1's idle worker
   // instead of falling back.
   auto* backend =
-      install(2, ShardPolicy::kRoundRobin, 1, ShardSteal::kScan);
+      install(2, ShardPolicy::kRoundRobin, 1, /*steal=*/true);
   std::jthread holder = stall_shard(*backend, 0);
 
   EchoArgs args;
@@ -271,42 +200,12 @@ TEST_F(ZcShardedTest, StealServesFromANonPrimaryShard) {
   holder.join();
 }
 
-TEST_F(ZcShardedTest, MaxLoadStealPicksTheBusiestVictim) {
-  // Shard 0 (the round-robin primary) is fully stalled; shard 2 is busy
-  // (in_flight 1 of 2 workers) and shard 1 idle.  Scan order would probe
-  // shard 1 first; steal=max_load must probe the *busiest* other shard
-  // first — the one whose workers are provably awake — so the call is
-  // served by shard 2.
-  auto* backend =
-      install(3, ShardPolicy::kRoundRobin, 2, ShardSteal::kMaxLoad);
-  std::jthread s0a = stall_shard(*backend, 0);
-  std::jthread s0b = stall_shard(*backend, 0);
-  std::jthread s2 = stall_shard(*backend, 2);
-  EXPECT_EQ(backend->shard(0).stats().in_flight.load(), 2u);
-  EXPECT_EQ(backend->shard(2).stats().in_flight.load(), 1u);
-
-  const auto before = backend->per_shard_served();
-  EchoArgs args;
-  args.in = 7;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 8u);
-  EXPECT_EQ(backend->stats().steals.load(), 1u);
-  const auto after = backend->per_shard_served();
-  EXPECT_EQ(after[2] - before[2], 1u);  // busiest victim served the steal
-  EXPECT_EQ(after[1] - before[1], 0u);  // the idle shard was not probed first
-
-  release_stall();
-  s0a.join();
-  s0b.join();
-  s2.join();
-}
-
 TEST_F(ZcShardedTest, StealOffPreservesStrictIsolation) {
   // Identical situation without steal=on: the call routed to the stalled
   // shard falls back immediately (§IV-C per shard) and never probes the
   // idle neighbour.
   auto* backend =
-      install(2, ShardPolicy::kRoundRobin, 1, ShardSteal::kOff);
+      install(2, ShardPolicy::kRoundRobin, 1, /*steal=*/false);
   std::jthread holder = stall_shard(*backend, 0);
 
   EchoArgs args;
@@ -323,7 +222,7 @@ TEST_F(ZcShardedTest, StealOffPreservesStrictIsolation) {
 
 TEST_F(ZcShardedTest, StealFallsBackWhenNoShardIsIdle) {
   auto* backend =
-      install(1, ShardPolicy::kRoundRobin, 1, ShardSteal::kScan);
+      install(1, ShardPolicy::kRoundRobin, 1, /*steal=*/true);
   std::jthread holder = stall_shard(*backend, 0);
   EchoArgs args;
   args.in = 1;
@@ -334,20 +233,33 @@ TEST_F(ZcShardedTest, StealFallsBackWhenNoShardIsIdle) {
   holder.join();
 }
 
-TEST_F(ZcShardedTest, MaxLoadStealOnOneShardNeverProbesThePrimaryTwice) {
-  // A one-shard router has no victims: the refused call must fall back
-  // without re-probing the primary as its own "busiest victim" (and
-  // without ever reporting a cross-shard steal).
-  auto* backend =
-      install(1, ShardPolicy::kRoundRobin, 1, ShardSteal::kMaxLoad);
-  std::jthread holder = stall_shard(*backend, 0);
-  for (int i = 0; i < 20; ++i) {
-    EchoArgs args;
-    args.in = 1;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kFallback);
-    EXPECT_EQ(args.out, 2u);
-  }
-  EXPECT_EQ(backend->stats().steals.load(), 0u);
+TEST_F(ZcShardedTest, SlabShardsStealFramesLargerThanThePoolBytes) {
+  // pool_bytes sizes only the bump pools: a slab shard never refuses a
+  // frame for size, so an 8 KB frame over pool_bytes=4096 must be served
+  // switchlessly, and stolen when its primary shard is stalled.
+  install_backend_spec(*enclave_,
+                       "zc_sharded:shards=2;workers=1;scheduler=off;"
+                       "pool=slab;pool_bytes=4096;steal=on");
+  auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
+  ASSERT_NE(backend, nullptr);
+  const std::vector<std::uint8_t> payload(8 * 1024, 0x5a);
+
+  // Round robin: the first call routes to shard 0, the second to shard 1.
+  EchoArgs args;
+  args.in = 1;
+  EXPECT_EQ(
+      enclave_->ocall_in(echo_id_, args, payload.data(), payload.size()),
+      CallPath::kSwitchless);
+  EXPECT_EQ(args.out, 2u);
+
+  std::jthread holder = stall_shard(*backend, 1);
+  args.in = 7;
+  EXPECT_EQ(
+      enclave_->ocall_in(echo_id_, args, payload.data(), payload.size()),
+      CallPath::kSwitchless);
+  EXPECT_EQ(args.out, 8u);
+  EXPECT_EQ(backend->stats().steals.load(), 1u);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
   release_stall();
   holder.join();
 }
@@ -357,7 +269,7 @@ TEST_F(ZcShardedTest, StealPreservesResultsUnderChurn) {
   // return its own result exactly once (the equivalence property), with
   // path counters agreeing with the issue count.
   auto* backend =
-      install(2, ShardPolicy::kLeastLoaded, 2, ShardSteal::kScan);
+      install(2, ShardPolicy::kLeastLoaded, 2, /*steal=*/true);
   std::atomic<bool> stop{false};
   std::jthread churner([&] {
     unsigned m = 0;
@@ -402,25 +314,8 @@ TEST_F(ZcShardedTest, PolicyAndStealReachTheBackendFromTheSpecPlane) {
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_EQ(backend->config().policy, ShardPolicy::kLeastLoaded);
-  EXPECT_EQ(backend->config().steal, ShardSteal::kScan);
+  EXPECT_TRUE(backend->config().steal);
   EXPECT_STREQ(to_string(backend->config().policy), "least_loaded");
-  EXPECT_STREQ(to_string(backend->config().steal), "scan");
-  EchoArgs args;
-  args.in = 1;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 2u);
-}
-
-TEST_F(ZcShardedTest, AffinityLoadAndMaxLoadReachTheBackendFromTheSpecPlane) {
-  install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;policy=affinity_load;load_threshold=3;"
-      "steal=max_load;scheduler=off;workers=1");
-  auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_EQ(backend->config().policy, ShardPolicy::kAffinityLoad);
-  EXPECT_EQ(backend->config().load_threshold, 3u);
-  EXPECT_EQ(backend->config().steal, ShardSteal::kMaxLoad);
   EchoArgs args;
   args.in = 1;
   EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
@@ -582,75 +477,6 @@ TEST_F(ZcShardedTest, ComposedSpecRoundTripsThroughTheRegistry) {
   auto backend = BackendRegistry::instance().create(*enclave_, canon);
   ASSERT_NE(backend, nullptr);
   EXPECT_STREQ(backend->name(), "zc_sharded[zc_batched]");
-}
-
-TEST_F(ZcShardedTest, DepthTwoLoadAwareRoutingSeesInnerRouterGauges) {
-  // A router shard maintains its own in_flight gauge and capacity probe,
-  // so an *outer* least_loaded router over two inner routers routes away
-  // from the one whose (single) leaf worker is stalled — the contract
-  // that keeps load-aware policies meaningful at depth 2.
-  install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;policy=least_loaded;"
-      "inner=(zc_sharded:shards=1;workers=1;scheduler=off)");
-  auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  std::jthread holder = stall_shard(*backend, 0);
-  EXPECT_EQ(backend->shard(0).stats().in_flight.load(), 1u);
-
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    EchoArgs args;
-    args.in = i;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-    EXPECT_EQ(args.out, i + 1);
-  }
-  EXPECT_EQ(backend->shard(1).stats().switchless_calls.load(), 50u);
-  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
-  release_stall();
-  holder.join();
-  EXPECT_EQ(backend->shard(0).stats().in_flight.load(), 0u);
-}
-
-TEST_F(ZcShardedTest, DepthTwoStealProbesThroughTheInnerRouter) {
-  // The outer steal probe lands on an inner *router*, whose own
-  // try_invoke_switchless must forward to its leaf — a steal across two
-  // routing layers.
-  install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;steal=on;"
-      "inner=(zc_sharded:shards=1;workers=1;scheduler=off)");
-  auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  std::jthread holder = stall_shard(*backend, 0);
-
-  EchoArgs args;
-  args.in = 7;
-  EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-  EXPECT_EQ(args.out, 8u);
-  EXPECT_EQ(backend->stats().steals.load(), 1u);
-  EXPECT_EQ(backend->shard(1).stats().switchless_calls.load(), 1u);
-  release_stall();
-  holder.join();
-}
-
-TEST_F(ZcShardedTest, DepthTwoCompositionRoutesEndToEnd) {
-  // A sharded-of-sharded lattice over batched leaves: the deepest spec the
-  // registry accepts, exercised end to end.
-  install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;inner=(zc_sharded:shards=2;"
-      "inner=(zc_batched:workers=1;batch=2))");
-  auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_STREQ(backend->name(), "zc_sharded[zc_sharded]");
-  EXPECT_STREQ(backend->shard(0).name(), "zc_sharded[zc_batched]");
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EchoArgs args;
-    args.in = i;
-    EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
-    EXPECT_EQ(args.out, i + 1);
-  }
-  EXPECT_EQ(backend->stats_snapshot().switchless_calls, 100u);
 }
 
 }  // namespace

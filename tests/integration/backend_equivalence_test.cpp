@@ -51,21 +51,18 @@ std::vector<std::string> all_backend_specs() {
   }
   // Load-aware variants beyond the per-key defaults: least_loaded routing
   // with bounded stealing (1 worker per shard so steals actually happen)
-  // and the feedback-adapted flush window (short quantum so it re-decides
-  // mid-run).  Equivalence must hold however calls are routed or flushed.
+  // and a long flush window (only full and eager flushes within a burst).
+  // Equivalence must hold however calls are routed or flushed.
   specs.push_back(
       "zc_sharded:shards=2;workers=1;scheduler=off;policy=least_loaded;"
       "steal=on");
-  specs.push_back("zc_batched:workers=2;batch=2;flush=feedback;quantum_us=2000");
+  specs.push_back("zc_batched:workers=2;batch=2;flush_us=2000");
   // Composed planes (nested inner= specs): the router over batched and
-  // async shards, and the affinity_load/max_load routing additions.
-  // However the lattice routes, batches or queues, results must be
-  // identical.
+  // async shards, and round-robin routing with stealing.  However the
+  // lattice routes, batches or queues, results must be identical.
   specs.push_back("zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)");
   specs.push_back("zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)");
-  specs.push_back(
-      "zc_sharded:shards=2;workers=1;scheduler=off;policy=affinity_load;"
-      "load_threshold=1;steal=max_load");
+  specs.push_back("zc_sharded:shards=2;workers=1;scheduler=off;steal=on");
   // Sleeping blocked-caller gates (futex with condvar fallback off Linux):
   // the wait policy may change who sleeps, never what calls compute.
   specs.push_back("zc:scheduler=off;workers=2;spin_us=0;wait=futex");

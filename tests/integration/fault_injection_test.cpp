@@ -175,13 +175,13 @@ TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderStolenCalls) {
   EXPECT_EQ(out, 2u);
 }
 
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderFeedbackFlushedBatches) {
-  // The failing op executes inside a worker's batch sweep while the
-  // feedback controller retunes the window: the error must still reach
-  // the right caller, and the store must recover once the fault clears.
-  install_backend_spec(
-      *enclave_,
-      "zc_batched:workers=1;batch=2;flush=feedback;quantum_us=2000");
+TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderWindowFlushedBatches) {
+  // The failing op executes inside a worker's batch sweep flushed by the
+  // window (or eagerly, once the worker has learned to): the error must
+  // still reach the right caller, and the store must recover once the
+  // fault clears.
+  install_backend_spec(*enclave_,
+                       "zc_batched:workers=1;batch=2;flush_us=2000");
   app::KissDB db;
   ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
   std::uint64_t key = 1;

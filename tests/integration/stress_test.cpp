@@ -207,9 +207,8 @@ TEST_F(StressTest, ShardedBackendUnderPressure) {
   hammer(scaled_threads(16), scaled_calls(2'000));
 }
 
-TEST_F(StressTest, ShardedCallerAffinityUnderPressure) {
-  install_backend_spec(
-      *enclave_, "zc_sharded:shards=4;policy=caller_affinity;quantum_us=2000");
+TEST_F(StressTest, FourShardsUnderPressure) {
+  install_backend_spec(*enclave_, "zc_sharded:shards=4;quantum_us=2000");
   hammer(scaled_threads(16), scaled_calls(2'000));
 }
 
@@ -229,7 +228,7 @@ TEST_F(StressTest, StealingShardedUnderPressure) {
   // in_flight gauges prove the steal path balances its bookkeeping.
   ZcShardedConfig cfg;
   cfg.shards = 2;
-  cfg.steal = ShardSteal::kScan;
+  cfg.steal = true;
   cfg.policy = ShardPolicy::kLeastLoaded;
   cfg.shard.scheduler_enabled = false;
   cfg.shard.with_initial_workers(1);
@@ -242,12 +241,11 @@ TEST_F(StressTest, StealingShardedUnderPressure) {
   }
 }
 
-TEST_F(StressTest, MaxLoadStealingShardedUnderPressure) {
-  // Load-ordered victim selection under the same pressure: the probe
-  // order is re-derived from churning in_flight gauges on every steal.
+TEST_F(StressTest, RoundRobinStealingShardedUnderPressure) {
+  // The same pressure through the spec plane with round-robin primaries:
+  // every other call starts on the shard the previous one just filled.
   install_backend_spec(*enclave_,
-                       "zc_sharded:shards=2;workers=1;scheduler=off;"
-                       "policy=affinity_load;load_threshold=1;steal=max_load");
+                       "zc_sharded:shards=2;workers=1;scheduler=off;steal=on");
   hammer(scaled_threads(8), scaled_calls(2'000));
 }
 
@@ -256,7 +254,7 @@ TEST_F(StressTest, StealingChurnWhileCallersRun) {
   // on a shard whose workers are pausing mid-drain.
   ZcShardedConfig cfg;
   cfg.shards = 2;
-  cfg.steal = ShardSteal::kScan;
+  cfg.steal = true;
   cfg.shard.scheduler_enabled = false;
   auto backend = make_zc_sharded_backend(*enclave_, cfg);
   auto* raw = backend.get();
@@ -329,7 +327,7 @@ TEST_F(StressTest, ComposedChurnWhileCallersRun) {
   // callers hammer: pause/drain inside every shard races the steal probe.
   install_backend_spec(
       *enclave_,
-      "zc_sharded:shards=2;steal=max_load;"
+      "zc_sharded:shards=2;steal=on;"
       "inner=(zc_batched:workers=2;batch=2;flush_us=50)");
   auto* raw = &enclave_->backend();
   std::atomic<bool> stop{false};
@@ -402,23 +400,21 @@ TEST_F(StressTest, BatchedPauseResumeChurnWhileCallersRun) {
   stop.store(true);
 }
 
-TEST_F(StressTest, FeedbackFlushBatchedUnderPressure) {
-  // The adaptive flush window re-decided every 2ms while callers hammer
-  // the buffers: window changes must never lose, duplicate or corrupt a
-  // call, under full batches and partial timer flushes alike.
-  install_backend_spec(
-      *enclave_,
-      "zc_batched:workers=2;batch=4;flush=feedback;quantum_us=2000");
+TEST_F(StressTest, LongWindowBatchedUnderPressure) {
+  // A 2 ms window under the hammer: buffers flush when full or eagerly,
+  // and the window only bounds a straggler, so no call may be lost,
+  // duplicated or corrupted under full, eager and window flushes alike.
+  install_backend_spec(*enclave_, "zc_batched:workers=2;batch=4;flush_us=2000");
   hammer(scaled_threads(16), scaled_calls(2'000));
 }
 
-TEST_F(StressTest, FeedbackFlushPauseResumeChurnWhileCallersRun) {
+TEST_F(StressTest, LongWindowPauseResumeChurnWhileCallersRun) {
+  // A pausing worker drains its published slots without waiting out the
+  // window, so a 2 ms window must never strand a call across a pause.
   ZcBatchedConfig cfg;
   cfg.workers = 2;
   cfg.batch = 2;
-  cfg.flush = 50us;
-  cfg.flush_policy = BatchFlushPolicy::kFeedback;
-  cfg.quantum = std::chrono::microseconds(1'000);
+  cfg.flush = 2ms;
   auto backend = make_zc_batched_backend(*enclave_, cfg);
   auto* raw = backend.get();
   enclave_->set_backend(std::move(backend));
@@ -667,9 +663,8 @@ TEST_F(StressTest, BackendHotSwapBetweenBatches) {
     hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=50");
     hammer(scaled_threads(4), scaled_calls(250));
-    install_backend_spec(
-        *enclave_,
-        "zc_batched:workers=2;batch=2;flush=feedback;quantum_us=2000");
+    install_backend_spec(*enclave_,
+                         "zc_batched:workers=2;batch=2;flush_us=2000");
     hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_, "zc_async:workers=2;queue=4");
     hammer(scaled_threads(4), scaled_calls(250));
