@@ -73,6 +73,9 @@ void add_stats_rows(bench::JsonRows& json, const CallBackend& backend,
                  .set("regular_calls", s.regular_calls)
                  .set("switchless_calls", s.switchless_calls)
                  .set("fallback_calls", s.fallback_calls)
+                 .set("fallback_no_worker", s.fallback_no_worker)
+                 .set("fallback_busy", s.fallback_busy)
+                 .set("fallback_oversize", s.fallback_oversize)
                  .set("batch_flushes", s.batch_flushes)
                  .set("wake_batches", s.wake_batches)
                  .set("steals", s.steals)

@@ -67,16 +67,24 @@ void ZcBackend::execute_regular(const CallDesc& desc) {
   }
 }
 
-CallPath ZcBackend::fallback(const CallDesc& desc) {
+CallPath ZcBackend::fallback(const CallDesc& desc, Refusal why) {
   execute_regular(desc);
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
+  PaddedCounter& reason = why == Refusal::kBusy       ? stats_.fallback_busy
+                          : why == Refusal::kOversize ? stats_.fallback_oversize
+                                                      : stats_.fallback_no_worker;
+  reason.add();
   stats_.fallback_calls.add();
   return CallPath::kFallback;
 }
 
 bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
-  if (!running_.load(std::memory_order_relaxed)) return false;
+  return try_switchless(desc) == Refusal::kNone;
+}
+
+ZcBackend::Refusal ZcBackend::try_switchless(const CallDesc& desc) {
+  if (!running_.load(std::memory_order_relaxed)) return Refusal::kNoWorker;
 
   // Switchless-call selection (§IV-C): run switchlessly iff an idle worker
   // exists right now; otherwise refuse immediately (no busy waiting for
@@ -84,7 +92,7 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
   const unsigned m =
       std::min(active_count_.load(std::memory_order_acquire),
                static_cast<unsigned>(workers_.size()));
-  if (m == 0) return false;
+  if (m == 0) return Refusal::kNoWorker;
   ZcWorker* worker = nullptr;
   const unsigned start = t_last_worker % m;
   for (unsigned k = 0; k < m; ++k) {
@@ -95,7 +103,7 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
       break;
     }
   }
-  if (worker == nullptr) return false;
+  if (worker == nullptr) return Refusal::kBusy;
 
   // The gauge covers reservation through collection: it counts calls
   // occupying a worker right now, which is what least_loaded routing
@@ -109,7 +117,7 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
     // slab never refuses — that is the large-payload cliff it removes.)
     worker->cancel_reservation();
     stats_.in_flight.sub();
-    return false;
+    return Refusal::kOversize;
   }
 
   MarshalledCall call = marshal_into(mem, desc);
@@ -122,7 +130,7 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
   if (elided != 0) stats_.copies_elided.add(elided);
   stats_.in_flight.sub();
   stats_.switchless_calls.add();
-  return true;
+  return Refusal::kNone;
 }
 
 CallPath ZcBackend::invoke(const CallDesc& desc) {
@@ -133,8 +141,9 @@ CallPath ZcBackend::invoke(const CallDesc& desc) {
     stats_.regular_calls.add();
     return CallPath::kRegular;
   }
-  if (try_invoke_switchless(desc)) return CallPath::kSwitchless;
-  return fallback(desc);
+  const Refusal why = try_switchless(desc);
+  if (why == Refusal::kNone) return CallPath::kSwitchless;
+  return fallback(desc, why);
 }
 
 std::unique_ptr<ZcBackend> make_zc_backend(Enclave& enclave, ZcConfig cfg) {

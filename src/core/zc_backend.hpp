@@ -68,8 +68,12 @@ class ZcBackend final : public CallBackend {
   std::vector<std::uint64_t> per_worker_served() const;
 
  private:
+  /// Why a switchless attempt was refused (kNone: the call was served).
+  enum class Refusal { kNone, kNoWorker, kBusy, kOversize };
+
+  Refusal try_switchless(const CallDesc& desc);
   void execute_regular(const CallDesc& desc);
-  CallPath fallback(const CallDesc& desc);
+  CallPath fallback(const CallDesc& desc, Refusal why);
 
   Enclave& enclave_;
   ZcConfig cfg_;

@@ -24,7 +24,7 @@ struct ZcConfig {
   double mu = 0.01;
 
   /// Upper bound on worker threads. 0 means logical_cpus / 2, the paper's
-  /// probe range (the scheduler explores 0..N/2 inclusive).
+  /// range (the scheduler decides among 0..N/2 inclusive).
   unsigned max_workers = 0;
 
   /// Workers active before the first configuration phase. The paper's

@@ -49,6 +49,9 @@ BackendStatsSnapshot BackendStats::snapshot() const noexcept {
   s.regular_calls = regular_calls.load();
   s.switchless_calls = switchless_calls.load();
   s.fallback_calls = fallback_calls.load();
+  s.fallback_no_worker = fallback_no_worker.load();
+  s.fallback_busy = fallback_busy.load();
+  s.fallback_oversize = fallback_oversize.load();
   s.pool_resets = pool_resets.load();
   s.worker_sleeps = worker_sleeps.load();
   s.worker_wakeups = worker_wakeups.load();
@@ -71,6 +74,9 @@ BackendStatsSnapshot& BackendStatsSnapshot::merge(
   regular_calls += other.regular_calls;
   switchless_calls += other.switchless_calls;
   fallback_calls += other.fallback_calls;
+  fallback_no_worker += other.fallback_no_worker;
+  fallback_busy += other.fallback_busy;
+  fallback_oversize += other.fallback_oversize;
   pool_resets += other.pool_resets;
   worker_sleeps += other.worker_sleeps;
   worker_wakeups += other.worker_wakeups;

@@ -56,6 +56,11 @@ struct BackendStats {
   PaddedCounter regular_calls;     ///< calls that took the regular path
   PaddedCounter switchless_calls;  ///< calls served by a worker
   PaddedCounter fallback_calls;    ///< switchless attempts that fell back
+  // Why a zc call fell back (the other planes leave these at 0); on a zc
+  // backend the three add up to fallback_calls.
+  PaddedCounter fallback_no_worker;  ///< no active worker (scheduler: m=0)
+  PaddedCounter fallback_busy;       ///< every active worker was busy
+  PaddedCounter fallback_oversize;   ///< frame larger than the worker pool
   PaddedCounter pool_resets;       ///< worker request-pool reallocations
   PaddedCounter worker_sleeps;     ///< workers that went to sleep (rbs)
   PaddedCounter worker_wakeups;    ///< sleeping workers woken by a caller
@@ -100,6 +105,9 @@ struct BackendStatsSnapshot {
   std::uint64_t regular_calls = 0;
   std::uint64_t switchless_calls = 0;
   std::uint64_t fallback_calls = 0;
+  std::uint64_t fallback_no_worker = 0;
+  std::uint64_t fallback_busy = 0;
+  std::uint64_t fallback_oversize = 0;
   std::uint64_t pool_resets = 0;
   std::uint64_t worker_sleeps = 0;
   std::uint64_t worker_wakeups = 0;

@@ -18,7 +18,7 @@ struct SimConfig {
   std::uint64_t tes_cycles = 13'500;
 
   /// Logical CPUs of the *simulated* machine (paper: 8 hyper-threads).
-  /// Drives the scheduler's probe range (0..N/2 workers) and CPU-usage
+  /// Drives the scheduler's decision range (0..N/2 workers) and CPU-usage
   /// normalisation.
   unsigned logical_cpus = 8;
 

@@ -79,18 +79,30 @@ TEST(CpuUsageMeter, FreshRegistrationContributesNothing) {
   EXPECT_LT(meter.window_cpu_ns(), 1'000'000u);
 }
 
+// Burns this thread's own CPU until it has consumed `ns`, however long the
+// host takes to grant it.
+void burn_own_cpu(std::uint64_t ns) {
+  const std::uint64_t start = thread_cpu_ns();
+  volatile std::uint64_t sink = 0;
+  while (thread_cpu_ns() - start < ns) sink = sink + 1;
+}
+
+// The meter is checked against the threads' own CLOCK_THREAD_CPUTIME_ID, not
+// against wall time: a loaded host grants a spinning thread only part of the
+// wall clock, which says nothing about the meter.
 TEST(CpuUsageMeter, CapturesBusyThread) {
   CpuUsageMeter meter(1);
   const auto slot = meter.register_current_thread();
   meter.begin_window();
-  const std::uint64_t start = wall_ns();
-  volatile std::uint64_t sink = 0;
-  while (wall_ns() - start < 50'000'000) sink += 1;  // ~50 ms busy
+  const std::uint64_t cpu0 = thread_cpu_ns();
+  burn_own_cpu(50'000'000);  // 50 ms of this thread's CPU
   meter.checkpoint(slot);
-  const double pct = meter.window_usage_percent();
-  // A spinning thread on a 1-cpu "machine" should be near 100%.
-  EXPECT_GT(pct, 50.0);
-  EXPECT_LT(pct, 130.0);
+  const std::uint64_t own = thread_cpu_ns() - cpu0;
+  EXPECT_GE(meter.window_cpu_ns(), 50'000'000u);
+  // The window started a sliver before cpu0 (begin_window itself).
+  EXPECT_LE(meter.window_cpu_ns(), own + 1'000'000u);
+  // One thread cannot use more than the 1-cpu machine.
+  EXPECT_LT(meter.window_usage_percent(), 130.0);
 }
 
 TEST(CpuUsageMeter, IdleThreadReportsNearZero) {
@@ -119,23 +131,23 @@ TEST(CpuUsageMeter, NormalisesBySimulatedWidth) {
 TEST(CpuUsageMeter, AggregatesMultipleThreads) {
   CpuUsageMeter meter(2);
   meter.begin_window();
-  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> own_total{0};
   auto busy = [&] {
+    const std::uint64_t cpu0 = thread_cpu_ns();
     const auto slot = meter.register_current_thread();
-    volatile std::uint64_t sink = 0;
-    while (!stop.load(std::memory_order_relaxed)) sink += 1;
+    burn_own_cpu(30'000'000);
     meter.unregister_current_thread(slot);
+    own_total.fetch_add(thread_cpu_ns() - cpu0);
   };
   std::jthread t1(busy);
   std::jthread t2(busy);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  stop.store(true);
   t1.join();
   t2.join();
-  // Two busy threads on a 2-wide machine: close to 100% — but on a
-  // single-core host they share the core and can only total ~50%, so the
-  // aggregation threshold must sit below that.
-  EXPECT_GT(meter.window_usage_percent(), 40.0);
+  // The window is the sum of both threads' CPU between registering and
+  // unregistering: at least both burns, at most what the threads measured
+  // around those calls.
+  EXPECT_GE(meter.window_cpu_ns(), 60'000'000u);
+  EXPECT_LE(meter.window_cpu_ns(), own_total.load());
 }
 
 TEST(CpuUsageMeter, WindowResetsBase) {

@@ -80,6 +80,7 @@ TEST_F(ZcBackendTest, ZeroActiveWorkersFallsBackImmediately) {
   const std::uint64_t elapsed = rdtsc() - t0;
   EXPECT_EQ(args.x, 2);
   EXPECT_EQ(backend->stats().fallback_calls.load(), 2u);
+  EXPECT_EQ(backend->stats().fallback_no_worker.load(), 2u);
   // "Immediately falls back ... without any busy waiting": the only cost is
   // the transition itself (plus marshalling). Budget 10x Tes.
   EXPECT_LT(elapsed, 50'000u);
@@ -101,6 +102,8 @@ TEST_F(ZcBackendTest, BusyWorkersCauseImmediateFallback) {
   EXPECT_EQ(enclave_->ocall(inc_id_, args), CallPath::kFallback);
   EXPECT_EQ(args.x, 1);
   EXPECT_GE(backend->stats().fallback_calls.load(), 1u);
+  EXPECT_GE(backend->stats().fallback_busy.load(), 1u);
+  EXPECT_EQ(backend->stats().fallback_no_worker.load(), 0u);
 }
 
 TEST_F(ZcBackendTest, ManyCallsAllExecuteExactlyOnce) {
@@ -125,6 +128,10 @@ TEST_F(ZcBackendTest, ManyCallsAllExecuteExactlyOnce) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   // With 8 hammering threads and 4 workers, both paths must have been used.
   EXPECT_GT(backend->stats().switchless_calls.load(), 0u);
+  // Every fallback has exactly one reason.
+  const BackendStatsSnapshot s = backend->stats().snapshot();
+  EXPECT_EQ(s.fallback_no_worker + s.fallback_busy + s.fallback_oversize,
+            s.fallback_calls);
 }
 
 TEST_F(ZcBackendTest, PayloadRoundTripThroughWorker) {
@@ -159,6 +166,8 @@ TEST_F(ZcBackendTest, OversizedRequestFallsBack) {
             CallPath::kFallback);
   EXPECT_EQ(args.x, 1);
   EXPECT_GE(backend->stats().fallback_calls.load(), 1u);
+  EXPECT_EQ(backend->stats().fallback_oversize.load(),
+            backend->stats().fallback_calls.load());
 }
 
 TEST_F(ZcBackendTest, PoolResetsShowUpInStats) {
