@@ -215,8 +215,8 @@ inline void reject_pipeline_flag(const BenchArgs& args) {
   if (args.pipeline > 1) {
     std::cerr << "--pipeline is only supported by benches that drive the "
                  "async call plane (bench_fig2_worker_sweep spec mode, "
-                 "bench_micro_callpath) with an async-capable backend "
-                 "(zc_async)\n";
+                 "bench_micro_callpath) with a slotted-plane backend "
+                 "(zc_async or zc_batched)\n";
     std::exit(2);
   }
 }

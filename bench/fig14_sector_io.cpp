@@ -107,9 +107,9 @@ int main(int argc, char** argv) try {
   if (specs.empty()) {
     specs = {
         "no_sl",
-        "zc:workers=2",
-        "zc:workers=2;pool=slab",
-        "zc:workers=2;pool=slab;copy=single",
+        "zc:workers=2;max_workers=2",
+        "zc:workers=2;max_workers=2;pool=slab",
+        "zc:workers=2;max_workers=2;pool=slab;copy=single",
         "zc_batched:workers=2;batch=8;pool=slab;copy=single",
         "zc_async:workers=2;queue=16;pool=slab;copy=single",
     };

@@ -10,8 +10,8 @@
 // workload through each given registry spec — the sweep dimension then
 // lives in the spec itself (e.g. zc_sharded:shards=4), so every
 // registered backend is reachable from this figure driver.  Spec mode
-// additionally accepts --pipeline=D to drive an async-capable backend
-// (zc_async) with D in-flight calls per enclave thread.
+// additionally accepts --pipeline=D to drive a slotted-plane backend
+// (zc_async or zc_batched) with D in-flight calls per enclave thread.
 #include <iostream>
 #include <vector>
 
@@ -56,7 +56,7 @@ int run_spec_mode(const zc::bench::BenchArgs& args, std::uint64_t total_calls,
     install_backend(*enclave, mode);
     if (args.pipeline > 1 && async_plane(*enclave) == nullptr) {
       std::cerr << "--pipeline=" << args.pipeline
-                << " needs an async-capable backend (zc_async); '"
+                << " needs a slotted-plane backend (zc_async or zc_batched); '"
                 << mode.spec << "' is synchronous\n";
       return 2;
     }

@@ -16,8 +16,8 @@
 //                        --backend=zc_batched:batch=8,flush_us=50
 //
 // --pipeline=D drives the spec lane through the async call plane with D
-// in-flight calls per iteration window (requires an async-capable spec,
-// i.e. zc_async).  --skew=zipf switches the spec lane from the
+// in-flight calls per iteration window (requires a slotted-plane spec:
+// zc_async or zc_batched).  --skew=zipf switches the spec lane from the
 // single-caller no-op loop to the synthetic f/g workload with caller
 // threads at 2-shard capacity (kSkewCallers) whose g durations are
 // zipf-ranked (thread 0 heaviest) — the skewed mix that separates
@@ -461,7 +461,7 @@ void BM_BackendSpec(benchmark::State& state, const std::string& spec_text,
                                 : nullptr;
     if (pipeline > 1 && async == nullptr) {
       state.SkipWithError(("--pipeline=" + std::to_string(pipeline) +
-                           " needs an async-capable backend (zc_async); '" +
+                           " needs a slotted-plane backend (zc_async or zc_batched); '" +
                            spec_text + "' is synchronous")
                               .c_str());
       return;
@@ -567,8 +567,8 @@ int main(int argc, char** argv) {
             zc::BackendRegistry::instance().create(*probe.enclave, spec);
         if (dynamic_cast<zc::ZcAsyncBackend*>(backend.get()) == nullptr) {
           std::fprintf(stderr,
-                       "--pipeline=%u needs an async-capable backend "
-                       "(zc_async); '%s' is synchronous\n",
+                       "--pipeline=%u needs a slotted-plane backend "
+                       "(zc_async or zc_batched); '%s' is synchronous\n",
                        g_pipeline, spec.c_str());
           return 2;
         }

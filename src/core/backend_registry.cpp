@@ -10,7 +10,6 @@
 #include "core/recording_backend.hpp"
 #include "core/zc_async.hpp"
 #include "core/zc_backend.hpp"
-#include "core/zc_batched.hpp"
 #include "core/zc_sharded.hpp"
 #include "hotcalls/hotcalls.hpp"
 #include "intel_sl/intel_backend.hpp"
@@ -505,20 +504,43 @@ std::unique_ptr<CallBackend> build_zc_sharded(Enclave& enclave,
   return make_zc_sharded_backend(enclave, std::move(cfg));
 }
 
-std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
-                                              const BackendSpec& spec,
-                                              CpuUsageMeter* meter) {
-  ZcBatchedConfig cfg;
+// The slotted plane's options shared by both of its keys (value errors
+// name the key).  Key-specific options are parsed between this and
+// make_slotted().
+ZcAsyncConfig slotted_config(const BackendSpec& spec, CpuUsageMeter* meter) {
+  ZcAsyncConfig cfg;
   cfg.meter = meter;
   cfg.direction = parse_direction(spec);
   cfg.workers = spec.get_unsigned("workers", cfg.workers);
   if (cfg.workers == 0) {
-    throw BackendSpecError("zc_batched: workers must be > 0");
+    throw BackendSpecError(spec.key + ": workers must be > 0");
   }
-  cfg.batch = spec.get_unsigned("batch", cfg.batch);
+  return cfg;
+}
+
+std::unique_ptr<CallBackend> make_slotted(Enclave& enclave,
+                                          const BackendSpec& spec,
+                                          ZcAsyncConfig cfg) {
+  cfg.slot_pool_bytes = spec.get_u64("pool_bytes", cfg.slot_pool_bytes);
+  if (cfg.slot_pool_bytes == 0) {
+    throw BackendSpecError(spec.key + ": pool_bytes must be > 0");
+  }
+  cfg.pool = parse_pool(spec, cfg.pool);
+  cfg.copy = parse_copy(spec, cfg.copy);
+  return make_zc_async_backend(enclave, std::move(cfg), spec.key);
+}
+
+// zc_batched: one home range of `batch` slots per worker; callers wait
+// (spin, then yield by default) for the range's batch to flush.
+std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
+                                              const BackendSpec& spec,
+                                              CpuUsageMeter* meter) {
+  ZcAsyncConfig cfg = slotted_config(spec, meter);
+  cfg.batch = spec.get_unsigned("batch", 8);
   if (cfg.batch == 0) {
     throw BackendSpecError("zc_batched: batch must be > 0");
   }
+  cfg.queue = cfg.workers * cfg.batch;
   const std::uint64_t flush_us = spec.get_u64(
       "flush_us", static_cast<std::uint64_t>(cfg.flush.count()));
   if (spec.has("flush_us")) {
@@ -536,37 +558,22 @@ std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
   cfg.flush = std::chrono::microseconds(flush_us);
   // Caller-side wait policy: bounded spin budget before yielding between
   // polls.  spin_us=0 is valid and means yield-immediately.
-  cfg.spin = std::chrono::microseconds(
-      spec.get_u64("spin_us", static_cast<std::uint64_t>(cfg.spin.count())));
-  cfg.wait = parse_wait(spec, cfg.wait);
-  cfg.slot_pool_bytes = spec.get_u64("pool_bytes", cfg.slot_pool_bytes);
-  if (cfg.slot_pool_bytes == 0) {
-    throw BackendSpecError("zc_batched: pool_bytes must be > 0");
-  }
-  cfg.pool = parse_pool(spec, cfg.pool);
-  cfg.copy = parse_copy(spec, cfg.copy);
-  return make_zc_batched_backend(enclave, std::move(cfg));
+  cfg.spin = std::chrono::microseconds(spec.get_u64("spin_us", 50));
+  cfg.wait = parse_wait(spec, GateWaitPolicy::kYield);
+  return make_slotted(enclave, spec, std::move(cfg));
 }
 
+// zc_async: a `queue`-slot table whose every publish opens the flush gate;
+// waiters sleep on the slot's gate after a 1 µs collect grace.
 std::unique_ptr<CallBackend> build_zc_async(Enclave& enclave,
                                             const BackendSpec& spec,
                                             CpuUsageMeter* meter) {
-  ZcAsyncConfig cfg;
-  cfg.meter = meter;
-  cfg.direction = parse_direction(spec);
-  cfg.workers = spec.get_unsigned("workers", cfg.workers);
-  if (cfg.workers == 0) {
-    throw BackendSpecError("zc_async: workers must be > 0");
-  }
+  ZcAsyncConfig cfg = slotted_config(spec, meter);
   cfg.queue = spec.get_unsigned("queue", cfg.queue);
   if (cfg.queue == 0) {
     throw BackendSpecError(
         "zc_async: queue must be > 0 (the completion table needs at least "
         "one slot)");
-  }
-  cfg.slot_pool_bytes = spec.get_u64("pool_bytes", cfg.slot_pool_bytes);
-  if (cfg.slot_pool_bytes == 0) {
-    throw BackendSpecError("zc_async: pool_bytes must be > 0");
   }
   cfg.wait = parse_wait(spec, cfg.wait);
   if (!gate_can_sleep(cfg.wait)) {
@@ -574,9 +581,7 @@ std::unique_ptr<CallBackend> build_zc_async(Enclave& enclave,
         "zc_async: wait must be futex or condvar — the async plane never "
         "spins (that is its point)");
   }
-  cfg.pool = parse_pool(spec, cfg.pool);
-  cfg.copy = parse_copy(spec, cfg.copy);
-  return make_zc_async_backend(enclave, std::move(cfg));
+  return make_slotted(enclave, spec, std::move(cfg));
 }
 
 std::unique_ptr<CallBackend> build_intel(Enclave& enclave,
@@ -718,15 +723,16 @@ BackendRegistry& BackendRegistry::instance() {
          build_zc_sharded});
     r->register_backend(
         {"zc_batched",
-         "ZC with per-worker batch buffers flushed on batch=K, after a "
-         "flush_us=T window, or eagerly for a lone caller",
+         "the slotted plane with per-worker ranges of batch=K slots, "
+         "flushed when full, after a flush_us=T window, or eagerly for a "
+         "lone caller",
          {"workers", "batch", "flush_us", "spin_us", "wait", "pool_bytes",
           "pool", "copy", "direction"},
          build_zc_batched});
     r->register_backend(
         {"zc_async",
-         "future-based ZC: submit()/wait() futures, futex/condvar "
-         "completion, no caller spin",
+         "the slotted plane with every publish run at once: submit()/"
+         "wait() futures, futex/condvar completion, no caller spin",
          {"workers", "queue", "pool_bytes", "pool", "copy", "wait",
           "direction"},
          build_zc_async});

@@ -44,19 +44,13 @@ void ZcAsyncBackend::wake(Worker& w) {
   w.cv.notify_one();
 }
 
-void ZcAsyncBackend::wake_a_worker() {
-  // Prefer a parked worker (it will re-check the table); a spinning worker
-  // discovers the published slot on its next sweep anyway.
-  for (auto& w : workers_) {
-    if (w->parked.load(std::memory_order_seq_cst)) {
-      wake(*w);
-      return;
-    }
-  }
-}
-
-ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg)
-    : enclave_(enclave), cfg_(std::move(cfg)) {
+ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg,
+                               std::string_view key)
+    : enclave_(enclave),
+      cfg_(std::move(cfg)),
+      name_(key),
+      flush_ns_(static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000) {
+  if (cfg_.direction == CallDirection::kEcall) name_ += "-ecall";
   if (cfg_.pool == FramePoolKind::kSlab) {
     slab_ = std::make_unique<SlabPool>();
     slab_->set_counters(SlabPool::Counters{
@@ -66,9 +60,19 @@ ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg)
   for (unsigned i = 0; i < cfg_.queue; ++i) {
     slots_.push_back(std::make_unique<Slot>(cfg_.slot_pool_bytes));
   }
+  // Home ranges: contiguous and as even as the table allows, larger ones
+  // first, so with fewer slots than workers the low (first active)
+  // workers own them and the rest own empty ranges and only help.
+  const auto bound = [&](unsigned i) {
+    return static_cast<unsigned>(
+        (std::uint64_t{cfg_.queue} * i + cfg_.workers - 1) / cfg_.workers);
+  };
   workers_.reserve(cfg_.workers);
   for (unsigned i = 0; i < cfg_.workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    auto w = std::make_unique<Worker>();
+    w->lo = bound(i);
+    w->hi = bound(i + 1);
+    workers_.push_back(std::move(w));
   }
 }
 
@@ -98,9 +102,8 @@ void ZcAsyncBackend::set_active_workers(unsigned m) {
   if (!running_.load(std::memory_order_relaxed)) return;
   const auto max = static_cast<unsigned>(workers_.size());
   if (m > max) m = max;
-  // Publish the claim bound first so submit() stops queueing new work when
-  // everyone is about to pause; queued slots are still drained (paused
-  // workers wake for them).
+  // Publish the claim bound first so no new call lands in a range whose
+  // worker is about to pause; pausing workers drain their ranges first.
   active_count_.store(m, std::memory_order_release);
   for (unsigned i = 0; i < max; ++i) {
     Worker& w = *workers_[i];
@@ -117,10 +120,10 @@ void ZcAsyncBackend::set_active_workers(unsigned m) {
         break;
       }
     }
-    // Only an actual command transition needs the worker's attention —
-    // re-applying the current count must not turn scheduler churn into a
-    // spurious-wake storm (same fix as ZcBatchedBackend; pinned by the
-    // churn stress test's worker_wakeups assertions).
+    // Only an actual command transition needs the worker's attention: a
+    // no-change call (scheduler probes re-applying the same count) must
+    // not turn hot-swap churn into a spurious-wake storm.  The churn
+    // stress test pins this via worker_wakeups.
     if (changed) wake(w);
   }
 }
@@ -147,23 +150,29 @@ bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   const unsigned m = active_count_.load(std::memory_order_acquire);
   if (m == 0) return false;
 
-  // Claim a free completion-table slot, starting from a rotating index so
-  // concurrent submitters spread across the table.  Table full: immediate
-  // refusal — backpressure without busy waiting, as in plain ZC.
+  // Claim a free slot in an active range, starting from a rotating range
+  // so concurrent submitters spread across workers.  No free slot in any
+  // active range: immediate refusal, as in plain ZC (§IV-C) — the caller
+  // decides what a refusal means (submit falls back inline; a steal probe
+  // tries elsewhere).
   Slot* slot = nullptr;
+  Worker* range = nullptr;
   std::uint32_t index = 0;
-  const auto n = static_cast<std::uint32_t>(slots_.size());
   const std::uint64_t first = ticket_.fetch_add(1, std::memory_order_relaxed);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto probe = static_cast<std::uint32_t>((first + i) % n);
-    Slot& candidate = *slots_[probe];
-    SlotState expected = SlotState::kFree;
-    if (candidate.state.compare_exchange_strong(expected, SlotState::kClaimed,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed)) {
-      slot = &candidate;
-      index = probe;
-      break;
+  for (std::uint64_t i = 0; i < m && slot == nullptr; ++i) {
+    Worker& candidate = *workers_[(first + i) % m];
+    for (unsigned s = candidate.lo; s < candidate.hi; ++s) {
+      Slot& probe = *slots_[s];
+      SlotState expected = SlotState::kFree;
+      if (probe.state.load(std::memory_order_relaxed) == expected &&
+          probe.state.compare_exchange_strong(expected, SlotState::kClaimed,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed)) {
+        slot = &probe;
+        range = &candidate;
+        index = s;
+        break;
+      }
     }
   }
   if (slot == nullptr) return false;
@@ -191,18 +200,20 @@ bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   slot->desc = desc;
   slot->frame = mem;
   slot->abandoned.store(false, std::memory_order_relaxed);
+  slot->publish_ns.store(wall_ns(), std::memory_order_relaxed);
   out = FutureHandle{index,
                      slot->generation.load(std::memory_order_relaxed)};
-  // seq_cst publish pairs with the workers' seq_cst park/sweep sequence:
-  // either this submitter observes parked==true and wakes a worker, or a
-  // worker's pre-sleep sweep observes this QUEUED slot.
+  // seq_cst publish pairs with the worker's seq_cst park/sweep sequence:
+  // either this submitter observes parked==true and wakes the range's
+  // worker, or the worker's pre-sleep sweep observes this QUEUED slot.
+  // Plain release/acquire would allow both sides to miss each other.
   slot->state.store(SlotState::kQueued, std::memory_order_seq_cst);
-  wake_a_worker();
+  if (range->parked.load(std::memory_order_seq_cst)) wake(*range);
 
   // stop() race: if the backend stopped between our running_ check and the
-  // publish, the exiting workers' final drain sweep may have already
-  // passed this slot.  Reclaim and execute it ourselves; the CAS decides
-  // ownership, so the call runs exactly once either way.
+  // publish, the exiting worker's last sweep may have seen this slot still
+  // kClaimed and left.  Serve our own slot; the CAS arbitrates against a
+  // worker's final flush, so the call runs exactly once either way.
   if (!running_.load(std::memory_order_seq_cst)) {
     SlotState expected = SlotState::kQueued;
     if (slot->state.compare_exchange_strong(expected, SlotState::kExecuting,
@@ -269,14 +280,14 @@ void ZcAsyncBackend::release_slot(Slot& slot) {
 
 CallPath ZcAsyncBackend::collect(FutureHandle h) {
   Slot& slot = *slots_[h.slot];
-  // Short grace spin for calls that complete immediately, then sleep on
-  // the slot's gate (condvar by default, futex with wait=futex) — the
-  // caller never busy-waits for a slow call.
-  constexpr std::chrono::microseconds kCollectGrace{1};
+  // Spin for the configured budget, then apply the wait policy: a batch
+  // waiter yields or sleeps through the flush window instead of starving
+  // the worker on narrow hosts; a futures waiter sleeps on the slot's gate
+  // after a short grace.
   const auto done = [](SlotState s) { return s == SlotState::kDone; };
   const GateCounters counters{&stats_.caller_yields, &stats_.caller_sleeps,
                               &stats_.caller_wakeups};
-  slot.gate.await(slot.state, done, cfg_.wait, kCollectGrace, counters);
+  slot.gate.await(slot.state, done, cfg_.wait, cfg_.spin, counters);
   MarshalledCall call = frame_view(slot.frame);
   unmarshal_from(call, slot.desc);
   if (slot.desc.consume_out != nullptr) stats_.copies_elided.add();
@@ -311,29 +322,6 @@ void ZcAsyncBackend::abandon(FutureHandle h) noexcept {
   }
 }
 
-ZcAsyncBackend::Slot* ZcAsyncBackend::sweep_claim() {
-  for (auto& s : slots_) {
-    if (s->state.load(std::memory_order_seq_cst) != SlotState::kQueued) {
-      continue;
-    }
-    SlotState expected = SlotState::kQueued;
-    if (s->state.compare_exchange_strong(expected, SlotState::kExecuting,
-                                         std::memory_order_seq_cst)) {
-      return s.get();
-    }
-  }
-  return nullptr;
-}
-
-bool ZcAsyncBackend::any_queued() const {
-  for (const auto& s : slots_) {
-    if (s->state.load(std::memory_order_seq_cst) == SlotState::kQueued) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void ZcAsyncBackend::execute_slot(Slot& slot) {
   // The generation of the occupancy we are executing.  It cannot advance
   // during execution (release requires kDone, or this worker's own
@@ -359,7 +347,9 @@ void ZcAsyncBackend::execute_slot(Slot& slot) {
     return;
   }
   slot.state.store(SlotState::kDone, std::memory_order_seq_cst);
-  slot.gate.notify(slot.state);
+  // Sleeping wait policies need the hand-off notify; yield/spin waiters
+  // poll, so their completion path stays notify-free.
+  if (gate_can_sleep(cfg_.wait)) slot.gate.notify(slot.state);
   // Abandon may have raced the kDone publish; under the mutex the
   // generation check plus the CAS decide who releases.  If the abandoner
   // already released (generation moved — possibly with the slot reused by
@@ -374,6 +364,65 @@ void ZcAsyncBackend::execute_slot(Slot& slot) {
       }
     }
   }
+}
+
+ZcAsyncBackend::FlushCause ZcAsyncBackend::flush_cause(
+    const Sweep& sweep, WorkerCmd cmd, bool eager) const noexcept {
+  if (sweep.queued == 0) return FlushCause::kNone;
+  if (sweep.queued >= cfg_.batch) return FlushCause::kFull;
+  // A leaving worker drains; it never strands a caller.
+  if (cmd != WorkerCmd::kRun) return FlushCause::kCommand;
+  if (eager && !sweep.claimed) return FlushCause::kEager;
+  if (wall_ns() - sweep.oldest_ns >= flush_ns_) return FlushCause::kWindow;
+  return FlushCause::kNone;
+}
+
+ZcAsyncBackend::Sweep ZcAsyncBackend::sweep(const Worker& range) const {
+  Sweep out;
+  out.oldest_ns = ~std::uint64_t{0};
+  for (unsigned i = range.lo; i < range.hi; ++i) {
+    const Slot& s = *slots_[i];
+    const SlotState state = s.state.load(std::memory_order_seq_cst);
+    if (state == SlotState::kClaimed) {
+      out.claimed = true;
+    } else if (state == SlotState::kQueued) {
+      ++out.queued;
+      const std::uint64_t t = s.publish_ns.load(std::memory_order_relaxed);
+      if (t < out.oldest_ns) out.oldest_ns = t;
+    }
+  }
+  return out;
+}
+
+unsigned ZcAsyncBackend::serve(Worker& range, unsigned& queued) {
+  const Sweep swept = sweep(range);
+  queued = swept.queued;
+  const FlushCause cause =
+      flush_cause(swept, range.cmd.load(std::memory_order_acquire),
+                  range.eager.load(std::memory_order_relaxed));
+  if (cause == FlushCause::kNone) return 0;
+  unsigned completed = 0;
+  for (unsigned i = range.lo; i < range.hi; ++i) {
+    Slot& s = *slots_[i];
+    SlotState expected = SlotState::kQueued;
+    // The CAS arbitrates against another worker flushing the same range
+    // and a stop-racing submitter serving its own slot; failure means the
+    // slot is not ours to run.
+    if (s.state.load(std::memory_order_acquire) != expected ||
+        !s.state.compare_exchange_strong(expected, SlotState::kExecuting,
+                                         std::memory_order_seq_cst)) {
+      continue;
+    }
+    // One flush per sweep that completes a call, counted before its first
+    // slot completes, so a caller that sees its result also sees the
+    // flush that produced it; a worker that lost every CAS counts none.
+    if (completed++ == 0) stats_.batch_flushes.add();
+    execute_slot(s);
+  }
+  if (cause == FlushCause::kWindow && completed == 1) {
+    range.eager.store(true, std::memory_order_relaxed);
+  }
+  return completed;
 }
 
 void ZcAsyncBackend::worker_main(Worker& w) {
@@ -404,32 +453,54 @@ void ZcAsyncBackend::worker_main(Worker& w) {
     w.parked.store(false, std::memory_order_seq_cst);
   };
 
+  const auto n = workers_.size();
+  std::size_t self = 0;
+  while (workers_[self].get() != &w) ++self;
+
   std::uint64_t iterations = 0;
+  // A flush that just woke its callers left them runnable; on a narrow
+  // host the worker's poll loop would burn the rest of its timeslice
+  // racing the very threads that must run before anything new can be
+  // published.  Donate the CPU once, immediately, instead of waiting for
+  // the 1024-iteration courtesy yield below.
+  bool just_flushed = false;
   for (;;) {
     const WorkerCmd cmd = w.cmd.load(std::memory_order_acquire);
-
-    if (Slot* job = sweep_claim(); job != nullptr) {
-      // Burst-drain: keep claiming while queued work exists.
-      do {
-        execute_slot(*job);
-      } while ((job = sweep_claim()) != nullptr);
+    unsigned queued = 0;
+    unsigned served = serve(w, queued);
+    // A running worker then helps: the other ranges' open-gate slots.
+    if (cmd == WorkerCmd::kRun) {
+      for (std::size_t i = 1; i < n; ++i) {
+        unsigned ignored = 0;
+        served += serve(*workers_[(self + i) % n], ignored);
+      }
+    }
+    if (served > 0) {
+      just_flushed = true;
       continue;
     }
 
-    if (cmd == WorkerCmd::kExit) break;  // table drained: safe to leave
-    if (cmd == WorkerCmd::kPause) {
-      park([&] {
-        // Paused workers still wake to drain queued slots, so a future
-        // submitted just before the pause command is never stranded.
-        return w.cmd.load(std::memory_order_acquire) != WorkerCmd::kPause ||
-               any_queued();
-      });
-      continue;
+    if (queued == 0) {
+      if (cmd == WorkerCmd::kExit) break;  // range drained: safe to leave
+      if (cmd == WorkerCmd::kPause) {
+        // A paused range takes no new claims; only a publish that raced
+        // the pause (and wakes this worker) can queue into it.
+        park([&] {
+          return w.cmd.load(std::memory_order_acquire) != WorkerCmd::kPause ||
+                 sweep(w).queued > 0;
+        });
+        continue;
+      }
+      if (just_flushed) {
+        just_flushed = false;
+        std::this_thread::yield();
+        continue;
+      }
     }
 
     cpu_pause();
-    // Narrow-host courtesy: an idle worker yields periodically so the
-    // submitters (and the other workers) can actually run.
+    // Narrow-host courtesy: an idle (or window-waiting) worker yields
+    // periodically so submitters and the other workers can actually run.
     if ((++iterations & 0x3FF) == 0) std::this_thread::yield();
     if (cfg_.meter != nullptr && (iterations & 0x3FFF) == 0) {
       cfg_.meter->checkpoint(meter_slot);
@@ -440,8 +511,9 @@ void ZcAsyncBackend::worker_main(Worker& w) {
 }
 
 std::unique_ptr<ZcAsyncBackend> make_zc_async_backend(Enclave& enclave,
-                                                      ZcAsyncConfig cfg) {
-  return std::make_unique<ZcAsyncBackend>(enclave, std::move(cfg));
+                                                      ZcAsyncConfig cfg,
+                                                      std::string_view key) {
+  return std::make_unique<ZcAsyncBackend>(enclave, std::move(cfg), key);
 }
 
 }  // namespace zc

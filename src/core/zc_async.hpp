@@ -1,24 +1,46 @@
-// Asynchronous ZC-Switchless call backend: futures instead of spinning.
+// The slotted ZC-Switchless call plane: one completion table, futures,
+// and a per-range flush gate.  Two registry keys build it.
 //
-// Every other switchless backend in the registry makes the caller busy-wait
-// for its worker (bounded spin + yield at best).  This backend splits the
-// call path into `submit()` — claim a slot in a fixed completion table,
-// marshal, publish, return a CallFuture — and `wait()`/`poll()` on that
-// future, with workers signalling completion through a per-slot seq_cst
-// state word plus a per-slot CompletionGate (condvar by default, futex
-// with `wait=futex`), so a waiting caller sleeps instead of spinning.
-// That opens the pipelined workload class (D in-flight calls per caller)
-// that no synchronous backend can express, while the plain
-// `CallBackend::call()` contract is preserved as submit()+wait(), so the
-// backend slots into the registry, `install_backend_spec`, the
+// The call path is split in two: `submit()` claims a slot in a fixed
+// completion table, marshals, publishes and returns a CallFuture;
+// `wait()`/`poll()` on that future collect the result.  The synchronous
+// `CallBackend::call()` contract is submit()+wait(), as FlexSC layers
+// synchronous system calls on its exception-less submit/complete pages,
+// so the plane slots into the registry, `install_backend_spec`, the
 // `direction=ecall` plane and the equivalence suite unchanged.
+//
+// The table is split into one contiguous home range per worker, and
+// submitters claim slots in the ranges of active workers, starting from
+// a rotating range.  A worker runs a range's queued slots only when that
+// range's flush gate is open (flush_cause):
+//   - `batch` calls are queued (with batch=1 the gate opens on publish);
+//   - the range's worker is pausing or exiting, and drains;
+//   - the learned eager flush fires: the range has learned that waiting
+//     buys nothing and no producer is mid-claim (kClaimed) in it;
+//   - the oldest queued call has waited out the `flush` window.
+// The eager flush is Nagle's algorithm (RFC 896) learned per range: a
+// window flush that served exactly one call switches the range to eager.
+// A producer mid-claim still holds the flush until it publishes or the
+// window expires, which keeps concurrent publishes batching.  The gate is
+// evaluated per range, not over the whole table, so one caller's long
+// marshal (a 32 KB encrypt under copy=single) holds only its own range.
+// Each worker serves its own range first, then the open-gate slots of the
+// other ranges, so any running worker drains any range.
+//
+//   zc_batched  workers×batch slots, batch 8, flush 100 µs, spin 50 µs,
+//               wait=yield: callers wait for a batch.
+//   zc_async    queue slots, batch 1, 1 µs collect grace, wait=condvar:
+//               every publish opens the gate; waiters sleep.
 //
 // Completion-table slot life cycle:
 //
 //   FREE -> CLAIMED -> QUEUED -> EXECUTING -> DONE -> FREE
 //     submitter: FREE->CLAIMED (CAS), CLAIMED->QUEUED (publish)
-//     worker:    QUEUED->EXECUTING (CAS), EXECUTING->DONE (+ cv notify)
+//     worker:    QUEUED->EXECUTING (CAS), EXECUTING->DONE (+ gate notify)
 //     waiter:    DONE->FREE (collect: unmarshal, generation++)
+//
+// The QUEUED->EXECUTING CAS decides who runs a call: two workers racing on
+// one range, or a submitter that raced stop() and serves its own slot.
 //
 // A CallFuture is {slot index, generation}: the generation counter is
 // bumped every time a slot is released, so a stale handle (the slot has
@@ -28,17 +50,22 @@
 // promise to the handler), but nobody collects results and the slot is
 // released by whoever finishes last (worker or abandoner).
 //
-// Backpressure: when the completion table is full (or no worker is
-// active), submit() executes the call inline as a regular fallback and
-// returns an already-completed future — no call is ever queued without a
-// slot, lost, or spun for.
+// Backpressure: when the active ranges are full (or no worker is active),
+// submit() executes the call inline as a regular fallback and returns an
+// already-completed future — no call is ever queued without a slot, lost,
+// or spun for (paper §IV-C).  Workers can be paused (set_active_workers):
+// a paused worker's range takes no new claims, the worker drains it and
+// parks, and only a publish that raced the pause into its range wakes it.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,8 +77,21 @@
 namespace zc {
 
 struct ZcAsyncConfig {
-  unsigned workers = 2;  ///< completion workers (> 0)
+  unsigned workers = 2;  ///< workers, each owning one home range (> 0)
   unsigned queue = 32;   ///< completion-table slots == max in-flight (> 0)
+  /// Queued calls in one range that open its flush gate (> 0).  1 runs
+  /// every call on publish; more makes callers wait for a batch.
+  unsigned batch = 1;
+  /// Max age of a range's oldest queued call before a partial flush: how
+  /// long a worker waits while co-publishers are expected (batch > 1).
+  std::chrono::microseconds flush{100};
+  /// Collect-side spin budget (`pause`) before the `wait` policy applies.
+  /// Every yield bumps BackendStats::caller_yields.
+  std::chrono::microseconds spin{1};
+  /// What a waiter does after the spin budget (CompletionGate): yield
+  /// between polls, or sleep on the slot's state word (futex/condvar)
+  /// until the worker notifies (caller_sleeps/caller_wakeups).
+  GateWaitPolicy wait = GateWaitPolicy::kCondvar;
   /// Per-slot preallocated untrusted frame pool; oversized requests fall
   /// back to a regular call.
   std::size_t slot_pool_bytes = 64 * 1024;
@@ -60,11 +100,6 @@ struct ZcAsyncConfig {
   FramePoolKind pool = FramePoolKind::kBump;
   /// copy=single advertises the in-place payload path (see marshal.hpp).
   CopyMode copy = CopyMode::kDouble;
-  /// How wait() blocks once the short collect grace spin expires
-  /// (CompletionGate): condvar (the historical per-slot wait) or futex.
-  /// The async plane never busy-waits, so spin/yield are rejected at the
-  /// spec layer.
-  GateWaitPolicy wait = GateWaitPolicy::kCondvar;
   CpuUsageMeter* meter = nullptr;
   CallDirection direction = CallDirection::kOcall;
 };
@@ -81,10 +116,10 @@ struct FutureHandle {
 
 class ZcAsyncBackend;
 
-/// Move-only handle to one submitted call.  `wait()` blocks (condvar, no
-/// spinning) until the worker completes the call, copies results back into
-/// the caller's CallDesc memory and releases the slot; it is idempotent —
-/// a second wait() returns the same CallPath immediately.  `poll()` is the
+/// Move-only handle to one submitted call.  `wait()` blocks until the
+/// worker completes the call, copies results back into the caller's
+/// CallDesc memory and releases the slot; it is idempotent — a second
+/// wait() returns the same CallPath immediately.  `poll()` is the
 /// non-blocking completion probe.  Destroying a future that was never
 /// waited abandons the call (it still executes; results are dropped).
 /// Futures must not outlive their backend.
@@ -146,27 +181,26 @@ class CallFuture {
 
 class ZcAsyncBackend final : public CallBackend {
  public:
-  ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg);
+  /// `key` is the registry key the plane is built under; name() reports
+  /// it (with an "-ecall" suffix on the trusted-function plane).
+  ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg,
+                 std::string_view key = "zc_async");
   ~ZcAsyncBackend() override;
 
   void start() override;
   void stop() override;
 
-  /// Synchronous contract, implemented as submit()+wait() — this is what
-  /// keeps the backend registry/equivalence-suite compatible.
+  /// Synchronous contract, implemented as submit()+wait().
   CallPath invoke(const CallDesc& desc) override;
 
-  /// Claims a completion-table slot, publishes `desc` and waits for it;
-  /// false without side effects when the table is full, no worker is
-  /// active, or the frame exceeds the slot pool — the routing probe used
-  /// by the sharded router's steal path.  stats().in_flight is raised
+  /// Claims a slot in an active range, publishes `desc` and waits for it;
+  /// false without side effects when the active ranges are full, no worker
+  /// is active, or the frame exceeds the slot pool — the routing probe
+  /// used by the sharded router's steal path.  stats().in_flight is raised
   /// while a call occupies a slot.
   bool try_invoke_switchless(const CallDesc& desc) override;
 
-  const char* name() const noexcept override {
-    return cfg_.direction == CallDirection::kOcall ? "zc_async"
-                                                   : "zc_async-ecall";
-  }
+  const char* name() const noexcept override { return name_.c_str(); }
 
   unsigned active_workers() const noexcept override {
     return active_count_.load(std::memory_order_acquire);
@@ -174,11 +208,6 @@ class ZcAsyncBackend final : public CallBackend {
 
   unsigned max_workers() const noexcept {
     return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Completion-table capacity (the `queue=` spec option).
-  unsigned queue_depth() const noexcept {
-    return static_cast<unsigned>(slots_.size());
   }
 
   /// Test hook: plants the rotating-claim counter (wraparound regression
@@ -191,9 +220,9 @@ class ZcAsyncBackend final : public CallBackend {
 
   /// Submits one call.  The caller's `desc` memory (args struct and
   /// payloads) must stay alive and untouched until wait() returns on the
-  /// returned future.  Never blocks on capacity: with the table full, no
-  /// active worker, an oversized request, or a stopped backend the call
-  /// executes inline and the future comes back already completed.
+  /// returned future.  Never blocks on capacity: with the active ranges
+  /// full, no active worker, an oversized request, or a stopped backend
+  /// the call executes inline and the future comes back already completed.
   CallFuture submit(const CallDesc& desc);
 
   /// Non-blocking handle-level completion probe.  Stale handles (their
@@ -201,16 +230,14 @@ class ZcAsyncBackend final : public CallBackend {
   /// report true; the live call occupying the same slot is unaffected.
   bool handle_completed(FutureHandle h) const noexcept;
 
-  /// Pauses workers [m, max) and runs [0, m).  Paused workers still drain
-  /// queued slots they are woken for, so no in-flight future is stranded.
+  /// Pauses workers [m, max) and runs [0, m); submitters only claim slots
+  /// in the ranges of running workers.  A pausing worker drains its range
+  /// before parking, so no in-flight future is stranded.
   void set_active_workers(unsigned m) override;
 
   const ZcAsyncConfig& config() const noexcept { return cfg_; }
 
   CopyMode copy_mode() const noexcept override { return cfg_.copy; }
-
-  /// The shared frame slab when built with pool=slab (tests/diagnostics).
-  SlabPool* slab() noexcept { return slab_.get(); }
 
  private:
   friend class CallFuture;
@@ -218,8 +245,8 @@ class ZcAsyncBackend final : public CallBackend {
   enum class SlotState : std::uint32_t {
     kFree = 0,    ///< claimable by submitters
     kClaimed,     ///< a submitter is marshalling into the slot
-    kQueued,      ///< published, awaiting a worker
-    kExecuting,   ///< a worker runs the call
+    kQueued,      ///< published, awaiting its range's flush
+    kExecuting,   ///< a worker (or a stop-racing submitter) runs the call
     kDone,        ///< results ready, awaiting collection
     kReclaiming,  ///< transient: winner of the done-vs-abandon release race
   };
@@ -228,33 +255,59 @@ class ZcAsyncBackend final : public CallBackend {
     explicit Slot(std::size_t pool_bytes) : pool(pool_bytes) {}
     std::atomic<SlotState> state{SlotState::kFree};
     std::atomic<std::uint64_t> generation{0};
+    std::atomic<std::uint64_t> publish_ns{0};  ///< flush-window anchor
     std::atomic<bool> abandoned{false};
     CallDesc desc;          ///< caller-side descriptor; ordered by `state`
     void* frame = nullptr;  ///< marshalled request; ordered by `state`
     BumpPool pool;
     std::mutex mu;        ///< abandon/release serialisation
-    CompletionGate gate;  ///< the waiter's sleep on `state` (kDone)
+    CompletionGate gate;  ///< the waiter's wait on `state` (kDone)
   };
 
   enum class WorkerCmd : std::uint32_t { kRun = 0, kPause, kExit };
 
+  /// One worker and its home range [lo, hi) of the table.
   struct Worker {
+    unsigned lo = 0;
+    unsigned hi = 0;
     std::atomic<WorkerCmd> cmd{WorkerCmd::kRun};
     std::atomic<bool> parked{false};
+    /// The range's learned eager flush (see the header comment).
+    std::atomic<bool> eager{false};
     std::mutex mu;
     std::condition_variable cv;
     std::jthread thread;
   };
 
+  /// What one sweep saw of a range.
+  struct Sweep {
+    unsigned queued = 0;          ///< published calls awaiting a flush
+    bool claimed = false;         ///< a producer is mid-marshal
+    std::uint64_t oldest_ns = 0;  ///< publish stamp of the oldest queued
+  };
+
+  enum class FlushCause : std::uint8_t {
+    kNone,     ///< keep waiting
+    kFull,     ///< `batch` calls queued
+    kCommand,  ///< pause/exit: a leaving worker drains
+    kEager,    ///< learned eager flush: nobody is mid-claim
+    kWindow,   ///< the oldest queued call waited out the flush window
+  };
+
+  /// The flush gate of one range (see the header comment).
+  FlushCause flush_cause(const Sweep& sweep, WorkerCmd cmd,
+                         bool eager) const noexcept;
+
   static void wake(Worker& w);
-  void wake_a_worker();
   void worker_main(Worker& w);
-  Slot* sweep_claim();
+  Sweep sweep(const Worker& range) const;
+  /// Runs `range`'s queued slots when its gate is open; returns the calls
+  /// this worker completed and reports the queued count it swept.
+  unsigned serve(Worker& range, unsigned& queued);
   /// Dispatches one claimed (kExecuting) slot and publishes kDone (or,
   /// when the call was abandoned, releases the slot in place).
   void execute_slot(Slot& slot);
   void release_slot(Slot& slot);
-  bool any_queued() const;
   void execute_regular(const CallDesc& desc);
   CallFuture inline_fallback(const CallDesc& desc);
   /// Claim + publish without any fallback; false when the table/frame/
@@ -267,19 +320,26 @@ class ZcAsyncBackend final : public CallBackend {
 
   Enclave& enclave_;
   ZcAsyncConfig cfg_;
+  std::string name_;
   std::unique_ptr<SlabPool> slab_;  ///< frame slabs when pool=slab
   std::vector<std::unique_ptr<Slot>> slots_;  ///< the completion table
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<unsigned> active_count_{0};
-  /// Rotating claim start.  64-bit so the probe index `(first + i) % n`
-  /// never jumps at a wraparound mid-scan (a 32-bit counter would overflow
-  /// at 2^32); the force-wrap regression test starts the counter just
-  /// below that boundary.
-  std::atomic<std::uint64_t> ticket_{0};
+  /// The flush window, cfg_.flush in wall nanoseconds.
+  const std::uint64_t flush_ns_;
+  /// Rotating claim start.  64-bit so the rotation index `(first + i) % m`
+  /// never jumps at a wraparound mid-scan (a 32-bit counter would skew
+  /// claim spreading at 2^32); the force-wrap regression tests pin the
+  /// behaviour at that boundary.  The one member every call writes, so it
+  /// starts its own cache line: sharing one with cfg_, workers_ or slab_
+  /// would make each claim invalidate what workers and the other caller
+  /// read on every call.
+  alignas(64) std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
 };
 
-std::unique_ptr<ZcAsyncBackend> make_zc_async_backend(Enclave& enclave,
-                                                      ZcAsyncConfig cfg = {});
+std::unique_ptr<ZcAsyncBackend> make_zc_async_backend(
+    Enclave& enclave, ZcAsyncConfig cfg = {},
+    std::string_view key = "zc_async");
 
 }  // namespace zc

@@ -42,7 +42,7 @@ struct ZcConfig {
   /// spins for the whole wait — on a machine with a core per busy-waiting
   /// thread the budget never expires and behaviour is identical — but on
   /// narrower hosts an unbounded spin burns whole scheduler timeslices
-  /// per hand-off (the same pragmatism as ZcBatchedConfig::spin).
+  /// per hand-off (the same pragmatism as ZcAsyncConfig::spin).
   std::chrono::microseconds spin{50};
 
   /// What the caller does once the spin budget expires (CompletionGate):

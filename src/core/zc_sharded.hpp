@@ -12,7 +12,7 @@
 //
 // The router is *generic*: a shard is any leaf CallBackend, built by a
 // factory, so the same routing/stealing policies compose over plain ZC
-// workers (the default), batched buffers or the async completion table.
+// workers (the default) or the slotted plane (zc_batched / zc_async).
 // The spec plane spells composition as a nested spec —
 // `zc_sharded:shards=4;inner=(zc_batched:batch=8)` — and the shard's
 // probe (CallBackend::try_invoke_switchless) plus its stats().in_flight

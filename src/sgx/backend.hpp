@@ -64,7 +64,7 @@ struct BackendStats {
   PaddedCounter pool_resets;       ///< worker request-pool reallocations
   PaddedCounter worker_sleeps;     ///< workers that went to sleep (rbs)
   PaddedCounter worker_wakeups;    ///< sleeping workers woken by a caller
-  PaddedCounter batch_flushes;     ///< batched-backend buffer flushes
+  PaddedCounter batch_flushes;     ///< slotted-plane range flushes
   PaddedCounter caller_yields;     ///< yields by callers whose spin expired
                                    ///< (one per yield, not one per call)
   PaddedCounter caller_sleeps;     ///< blocked callers that went to sleep

@@ -59,7 +59,7 @@ void install_backend(Enclave& enclave, const ModeSpec& spec,
 /// The installed backend's asynchronous call plane (submit()/wait()
 /// futures), or nullptr when the backend on that direction does not
 /// support futures.  Pipelined drivers (`--pipeline=D`) require a
-/// non-null plane — today that means a `zc_async:` spec.
+/// non-null plane: a `zc_async:` or `zc_batched:` spec.
 ZcAsyncBackend* async_plane(Enclave& enclave,
                             CallDirection direction = CallDirection::kOcall);
 

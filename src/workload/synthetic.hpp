@@ -95,9 +95,10 @@ struct SyntheticRunConfig {
   CallerSkew skew = CallerSkew::kUniform;  ///< per-caller duration skew
   SynthConfig config = SynthConfig::kC1;
   /// In-flight calls per caller thread.  > 1 drives the installed
-  /// backend's async plane (submit + windowed wait); requires an
-  /// async-capable backend (`zc_async:`), otherwise the run degrades to
-  /// the synchronous path — drivers check workload::async_plane() first.
+  /// backend's async plane (submit + windowed wait); requires a
+  /// slotted-plane backend (`zc_async:` or `zc_batched:`), otherwise the
+  /// run degrades to the synchronous path — drivers check
+  /// workload::async_plane() first.
   unsigned pipeline = 1;
   /// Seed for the run's randomized choices (today: the zipf rank
   /// permutation).  0 — the default — draws a fresh seed per run; the

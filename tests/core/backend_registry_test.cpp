@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/zc_batched.hpp"
+#include "core/zc_async.hpp"
 #include "sgx/enclave.hpp"
 #include "workload/synthetic.hpp"
 
@@ -316,7 +316,7 @@ TEST_F(BackendRegistryTest, BatchedSpinBudgetIsValidated) {
   // spin_us=0 is valid and means yield-immediately.
   auto yielder = registry.create(*enclave_, "zc_batched:spin_us=0");
   ASSERT_NE(yielder, nullptr);
-  EXPECT_EQ(dynamic_cast<ZcBatchedBackend*>(yielder.get())
+  EXPECT_EQ(dynamic_cast<ZcAsyncBackend*>(yielder.get())
                 ->config().spin.count(), 0);
 }
 
@@ -553,6 +553,74 @@ TEST_F(BackendRegistryTest, AsyncValueErrorsAreTyped) {
   EXPECT_NE(
       registry.create(*enclave_, "zc_async:direction=ecall;workers=1;queue=4"),
       nullptr);
+}
+
+TEST_F(BackendRegistryTest, SlottedPlaneKeysKeepTheirOptionLists) {
+  // zc_batched and zc_async build one plane (ZcAsyncBackend), but each key
+  // keeps its own option list, defaults, names and value errors.
+  auto& registry = BackendRegistry::instance();
+  const std::pair<const char*, std::vector<const char*>> keys[] = {
+      {"zc_batched",
+       {"workers=1", "batch=2", "flush_us=50", "spin_us=5", "wait=futex",
+        "pool_bytes=4096", "pool=slab", "copy=single", "direction=ocall"}},
+      {"zc_async",
+       {"workers=1", "queue=4", "pool_bytes=4096", "pool=slab",
+        "copy=single", "wait=futex", "direction=ocall"}},
+  };
+  for (const auto& [key, options] : keys) {
+    std::string all = std::string(key) + ":";
+    std::string names;
+    for (const char* option : options) {
+      const std::string spec = std::string(key) + ":" + option;
+      EXPECT_NO_THROW(registry.validate(spec)) << spec;
+      EXPECT_NE(registry.create(*enclave_, spec), nullptr) << spec;
+      if (all.back() != ':') all += ';';
+      all += option;
+      if (!names.empty()) names += ',';
+      names += std::string(option).substr(0, std::string(option).find('='));
+    }
+    auto backend = registry.create(*enclave_, all);
+    ASSERT_NE(dynamic_cast<ZcAsyncBackend*>(backend.get()), nullptr) << all;
+    EXPECT_STREQ(backend->name(), key);
+    // The accepted list is exactly this one, in this order.
+    EXPECT_NE(registry.help().find("options: " + names + "\n"),
+              std::string::npos)
+        << key;
+  }
+  // Each key's options stay its own.
+  for (const char* spec : {"zc_async:batch=2", "zc_async:spin_us=5",
+                           "zc_async:flush_us=50", "zc_batched:queue=4"}) {
+    EXPECT_THROW(registry.validate(spec), BackendSpecError) << spec;
+    EXPECT_THROW(registry.create(*enclave_, spec), BackendSpecError) << spec;
+  }
+  // The async key never polls: a value error, raised at create().
+  EXPECT_NO_THROW(registry.validate("zc_async:wait=yield"));
+  EXPECT_THROW(registry.create(*enclave_, "zc_async:wait=yield"),
+               BackendSpecError);
+
+  // Key defaults: the batched key sizes the table workers×batch and waits
+  // for a batch; the async key opens the gate on every publish.
+  auto batched = registry.create(*enclave_, "zc_batched:workers=3");
+  const ZcAsyncConfig& b =
+      dynamic_cast<ZcAsyncBackend&>(*batched).config();
+  EXPECT_EQ(b.queue, 24u);
+  EXPECT_EQ(b.batch, 8u);
+  EXPECT_EQ(b.flush.count(), 100);
+  EXPECT_EQ(b.spin.count(), 50);
+  EXPECT_EQ(b.wait, GateWaitPolicy::kYield);
+  auto async = registry.create(*enclave_, "zc_async:workers=3");
+  const ZcAsyncConfig& a = dynamic_cast<ZcAsyncBackend&>(*async).config();
+  EXPECT_EQ(a.queue, 32u);
+  EXPECT_EQ(a.batch, 1u);
+  EXPECT_EQ(a.spin.count(), 1);
+  EXPECT_EQ(a.wait, GateWaitPolicy::kCondvar);
+
+  // Both keys name the trusted-function plane too.
+  EXPECT_STREQ(
+      registry.create(*enclave_, "zc_batched:direction=ecall")->name(),
+      "zc_batched-ecall");
+  EXPECT_STREQ(registry.create(*enclave_, "zc_async:direction=ecall")->name(),
+               "zc_async-ecall");
 }
 
 TEST_F(BackendRegistryTest, DirectionOptionIsValidatedAndScoped) {

@@ -582,6 +582,50 @@ TEST_F(ZcAsyncTest, RedundantSetActiveWorkersWakesNobody) {
   EXPECT_EQ(args.out, 6u);
 }
 
+TEST_F(ZcAsyncTest, SubmitsNeverWakeAPausedWorker) {
+  // Regression: every submit woke any parked worker, paused ones included;
+  // a paused worker then drained, parked again and never freed its CPU.
+  // Paused ranges take no claims, so a submit wakes only its own range's
+  // worker, and only when that worker is parked.
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  backend->set_active_workers(1);
+  while (backend->stats().worker_sleeps.load() < 1) {
+    std::this_thread::sleep_for(100us);
+  }
+  const std::uint64_t baseline = backend->stats().worker_wakeups.load();
+  for (std::uint64_t i = 0; i < 1'000; ++i) {
+    EchoArgs args;
+    args.in = i;
+    CallFuture future = backend->submit(echo_desc(args));
+    future.wait();
+    ASSERT_EQ(args.out, i + 1) << i;
+  }
+  EXPECT_LE(backend->stats().worker_wakeups.load() - baseline, 2u);
+  EXPECT_EQ(backend->stats().total_calls(), 1'000u);
+}
+
+TEST_F(ZcAsyncTest, EveryCompletingSweepCountsOneFlush) {
+  // batch=1: each sweep that completes calls is one flush, counted once
+  // even when both workers race on a range.
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    EchoArgs args;
+    args.in = i;
+    ASSERT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
+  }
+  const std::uint64_t flushes = backend->stats().batch_flushes.load();
+  EXPECT_GE(flushes, 1u);
+  EXPECT_LE(flushes, backend->stats().switchless_calls.load());
+}
+
 TEST_F(ZcAsyncTest, NeverStartedBackendExecutesRegularly) {
   ZcAsyncConfig cfg;
   cfg.workers = 1;

@@ -1,9 +1,7 @@
-// Batched ZC backend: slot life cycle, flush triggers (batch fill, the
-// timer window and the learned eager flush), pause/resume draining,
-// fallback paths,
-// a publish racing stop() and the ecall direction.
-#include "core/zc_batched.hpp"
-
+// The slotted plane under its zc_batched key: per-range flush gates
+// (batch fill, the timer window and the learned eager flush), pause/resume
+// draining, fallback paths, a publish racing stop(), the ecall direction,
+// and the futures API on batched ranges.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "core/backend_registry.hpp"
+#include "core/zc_async.hpp"
 
 namespace zc {
 namespace {
@@ -23,6 +22,22 @@ struct EchoArgs {
   std::uint64_t in = 0;
   std::uint64_t out = 0;
 };
+
+/// The zc_batched key's defaults: batch 8, flush 100 µs, spin 50 µs,
+/// wait=yield.  make() sizes the table at workers×batch.
+ZcAsyncConfig batched_config() {
+  ZcAsyncConfig cfg;
+  cfg.batch = 8;
+  cfg.flush = 100us;
+  cfg.spin = 50us;
+  cfg.wait = GateWaitPolicy::kYield;
+  return cfg;
+}
+
+std::unique_ptr<ZcAsyncBackend> make(Enclave& enclave, ZcAsyncConfig cfg) {
+  cfg.queue = cfg.workers * cfg.batch;
+  return make_zc_async_backend(enclave, cfg, "zc_batched");
+}
 
 class ZcBatchedTest : public ::testing::Test {
  protected:
@@ -38,11 +53,15 @@ class ZcBatchedTest : public ::testing::Test {
         });
   }
 
-  ZcBatchedBackend* install(ZcBatchedConfig cfg) {
-    auto backend = make_zc_batched_backend(*enclave_, cfg);
+  ZcAsyncBackend* install(ZcAsyncConfig cfg) {
+    auto backend = make(*enclave_, cfg);
     auto* raw = backend.get();
     enclave_->set_backend(std::move(backend));
     return raw;
+  }
+
+  static std::uint64_t flushes(const ZcAsyncBackend& backend) {
+    return backend.stats().batch_flushes.load();
   }
 
   std::unique_ptr<Enclave> enclave_;
@@ -50,7 +69,7 @@ class ZcBatchedTest : public ::testing::Test {
 };
 
 TEST_F(ZcBatchedTest, LoneCallIsFlushedByTheTimer) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 8;  // never fills with a single sequential caller
   cfg.flush = 100us;
@@ -60,12 +79,12 @@ TEST_F(ZcBatchedTest, LoneCallIsFlushedByTheTimer) {
   args.in = 41;
   EXPECT_EQ(enclave_->ocall(echo_id_, args), CallPath::kSwitchless);
   EXPECT_EQ(args.out, 42u);
-  EXPECT_GE(backend->flushes(), 1u);
+  EXPECT_GE(flushes(*backend), 1u);
   EXPECT_EQ(backend->stats().switchless_calls.load(), 1u);
 }
 
 TEST_F(ZcBatchedTest, EveryCallIsServedAndCounted) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 4;
   cfg.flush = 50us;
@@ -79,13 +98,13 @@ TEST_F(ZcBatchedTest, EveryCallIsServedAndCounted) {
     ASSERT_EQ(args.out, i + 1);
   }
   EXPECT_EQ(backend->stats().total_calls(), calls);
-  EXPECT_GE(backend->flushes(), 1u);
+  EXPECT_GE(flushes(*backend), 1u);
   // Flushes can never exceed served calls (each flush serves >= 1).
-  EXPECT_LE(backend->flushes(), backend->stats().switchless_calls.load());
+  EXPECT_LE(flushes(*backend), backend->stats().switchless_calls.load());
 }
 
 TEST_F(ZcBatchedTest, ConcurrentCallersShareBatches) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 4;
   cfg.flush = 2000us;  // long timer: concurrent arrivals batch together
@@ -115,7 +134,7 @@ TEST_F(ZcBatchedTest, ConcurrentPublishesShareAFlush) {
   // Amortisation evidence: four callers publish in lockstep into one
   // 4-slot buffer with a long flush timer, so the worker's sweep must
   // serve multiple calls per flush — flushes < switchless calls.
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 4;
   cfg.flush = std::chrono::microseconds(50'000);
@@ -139,11 +158,11 @@ TEST_F(ZcBatchedTest, ConcurrentPublishesShareAFlush) {
     GTEST_SKIP() << "transient slot contention left <2 switchless calls; "
                     "amortisation not observable this run";
   }
-  EXPECT_LT(backend->flushes(), switchless);
+  EXPECT_LT(flushes(*backend), switchless);
 }
 
 TEST_F(ZcBatchedTest, NoFreeSlotFallsBackImmediately) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 1;  // one slot total: concurrent callers must fall back
   auto* backend = install(cfg);
@@ -167,7 +186,7 @@ TEST_F(ZcBatchedTest, NoFreeSlotFallsBackImmediately) {
 }
 
 TEST_F(ZcBatchedTest, OversizedRequestFallsBack) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 2;
   cfg.slot_pool_bytes = 256;
@@ -188,7 +207,7 @@ TEST_F(ZcBatchedTest, OversizedRequestFallsBack) {
 }
 
 TEST_F(ZcBatchedTest, PauseDrainsAndResumeRestoresService) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -218,7 +237,7 @@ TEST_F(ZcBatchedTest, PauseDrainsAndResumeRestoresService) {
 }
 
 TEST_F(ZcBatchedTest, PauseResumeChurnLosesNoCalls) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -259,7 +278,7 @@ TEST_F(ZcBatchedTest, PauseResumeChurnLosesNoCalls) {
 TEST_F(ZcBatchedTest, SpinZeroMeansYieldImmediately) {
   // spin_us=0 disables the caller's spin budget: every poll that finds the
   // result not ready donates the quantum (observable via caller_yields).
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 8;
   cfg.flush = 100us;
@@ -278,7 +297,7 @@ TEST_F(ZcBatchedTest, SpinZeroMeansYieldImmediately) {
 }
 
 TEST_F(ZcBatchedTest, LargeSpinBudgetNeverYields) {
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 8;
   cfg.flush = 100us;
@@ -297,7 +316,7 @@ TEST_F(ZcBatchedTest, LargeSpinBudgetNeverYields) {
 TEST_F(ZcBatchedTest, SpinOptionReachesTheBackendFromTheSpecPlane) {
   install_backend_spec(*enclave_,
                        "zc_batched:workers=1;batch=2;flush_us=50;spin_us=0");
-  auto* backend = dynamic_cast<ZcBatchedBackend*>(&enclave_->backend());
+  auto* backend = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_EQ(backend->config().spin.count(), 0);
   EchoArgs args;
@@ -312,12 +331,12 @@ TEST_F(ZcBatchedTest, EcallDirectionServesTrustedFunctions) {
         auto* a = static_cast<EchoArgs*>(call.args);
         a->out = a->in * a->in;
       });
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 2;
   cfg.flush = 100us;
   cfg.direction = CallDirection::kEcall;
-  enclave_->set_ecall_backend(make_zc_batched_backend(*enclave_, cfg));
+  enclave_->set_ecall_backend(make(*enclave_, cfg));
   EXPECT_STREQ(enclave_->ecall_backend().name(), "zc_batched-ecall");
 
   EchoArgs args;
@@ -335,15 +354,15 @@ class ZcBatchedPlaneTest
     : public ZcBatchedTest,
       public ::testing::WithParamInterface<GateWaitPolicy> {
  protected:
-  ZcBatchedConfig plane_config() {
-    ZcBatchedConfig cfg;
+  ZcAsyncConfig plane_config() {
+    ZcAsyncConfig cfg = batched_config();
     cfg.wait = GetParam();
     return cfg;
   }
 };
 
 TEST_P(ZcBatchedPlaneTest, ConcurrentCallersAreAllServed) {
-  ZcBatchedConfig cfg = plane_config();
+  ZcAsyncConfig cfg = plane_config();
   cfg.workers = 2;
   cfg.batch = 4;
   cfg.flush = 50us;
@@ -368,7 +387,7 @@ TEST_P(ZcBatchedPlaneTest, ConcurrentCallersAreAllServed) {
 }
 
 TEST_P(ZcBatchedPlaneTest, PauseResumeChurnLosesNoCalls) {
-  ZcBatchedConfig cfg = plane_config();
+  ZcAsyncConfig cfg = plane_config();
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -418,8 +437,8 @@ INSTANTIATE_TEST_SUITE_P(WaitPolicies, ZcBatchedPlaneTest,
 
 class ZcBatchedEagerTest : public ZcBatchedTest {
  protected:
-  static ZcBatchedConfig eager_config() {
-    ZcBatchedConfig cfg;
+  static ZcAsyncConfig eager_config() {
+    ZcAsyncConfig cfg = batched_config();
     cfg.workers = 1;
     cfg.batch = 8;  // never fills in these cases
     cfg.flush = 200ms;
@@ -440,7 +459,7 @@ TEST_F(ZcBatchedEagerTest, LoneSequentialCallerPaysTheWindowOnce) {
     ASSERT_EQ(args.out, i + 1);
   }
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 2 * 200ms);
-  EXPECT_EQ(backend->flushes(), 20u);
+  EXPECT_EQ(flushes(*backend), 20u);
 }
 
 // Single-copy producer that signals it is mid-marshal (its slot claimed,
@@ -460,14 +479,14 @@ struct HeldProducer {
 };
 
 TEST_F(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
-  ZcBatchedConfig cfg = eager_config();
+  ZcAsyncConfig cfg = eager_config();
   cfg.copy = CopyMode::kSingle;
   auto* backend = install(cfg);
 
   // Prime: a lone call served by the window makes the worker eager.
   EchoArgs prime;
   ASSERT_EQ(enclave_->ocall(echo_id_, prime), CallPath::kSwitchless);
-  ASSERT_EQ(backend->flushes(), 1u);
+  ASSERT_EQ(flushes(*backend), 1u);
 
   // B claims first, then A; both hold mid-marshal.  B is released and
   // publishes while A's slot is still claimed, so the eager worker must
@@ -500,7 +519,7 @@ TEST_F(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
   held_b.release.store(true);
   std::this_thread::sleep_for(20ms);  // B publishes; A stays mid-claim
   EXPECT_FALSE(done_b.load());
-  EXPECT_EQ(backend->flushes(), 1u);
+  EXPECT_EQ(flushes(*backend), 1u);
 
   held_a.release.store(true);
   a.join();
@@ -509,7 +528,7 @@ TEST_F(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
   EXPECT_TRUE(done_b.load());
   EXPECT_EQ(args_a.out, 11u);
   EXPECT_EQ(args_b.out, 21u);
-  EXPECT_EQ(backend->flushes(), 2u);
+  EXPECT_EQ(flushes(*backend), 2u);
   EXPECT_EQ(backend->stats().switchless_calls.load(), 3u);
 }
 
@@ -520,7 +539,7 @@ TEST_F(ZcBatchedTest, StopWhileAProducerIsMidClaimStillServesItsCall) {
   // runs: the exiting worker sees no pending call and leaves.  The caller
   // must then find the backend stopped and serve its own slot instead of
   // waiting for a worker that is gone.
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
   cfg.batch = 4;
   cfg.flush = 50us;
@@ -566,7 +585,7 @@ TEST_F(ZcBatchedTest, StopWhileAProducerIsMidClaimStillServesItsCall) {
 TEST_F(ZcBatchedTest, TableClaimRotationSurvivesThe32BitBoundary) {
   // Regression: the rotating worker-claim counter used to be a 32-bit
   // fetch_add; planting it just below 2^32 forces the wrap mid-run.
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -596,7 +615,7 @@ TEST_F(ZcBatchedTest, RedundantSetActiveWorkersWakesNobody) {
   // workers on every call, turning each scheduler probe into a spurious
   // wake for every parked worker.  Re-asserting the current command must
   // leave worker_wakeups untouched.
-  ZcBatchedConfig cfg;
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -623,10 +642,123 @@ TEST_F(ZcBatchedTest, RedundantSetActiveWorkersWakesNobody) {
   EXPECT_GT(backend->stats().worker_wakeups.load(), baseline);
 }
 
-TEST_F(ZcBatchedTest, StoppedBackendExecutesRegularly) {
-  ZcBatchedConfig cfg;
+// --- Futures on batched ranges ----------------------------------------------
+
+CallDesc desc_for(std::uint32_t fn_id, EchoArgs& args) {
+  CallDesc desc;
+  desc.fn_id = fn_id;
+  desc.args = &args;
+  desc.args_size = sizeof(args);
+  return desc;
+}
+
+TEST_F(ZcBatchedTest, OutOfOrderWaitsResolveTheRightFutures) {
+  // Futures on the batched key: twelve submissions against an 8-slot
+  // table (the rest complete inline), collected in reverse order.
+  ZcAsyncConfig cfg = batched_config();
+  cfg.workers = 2;
+  cfg.batch = 4;
+  cfg.flush = 100us;
+  auto* backend = install(cfg);
+
+  constexpr std::size_t kCalls = 12;
+  std::vector<EchoArgs> args(kCalls);
+  std::vector<CallFuture> futures;
+  futures.reserve(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    args[i].in = 100 + i;
+    futures.push_back(backend->submit(desc_for(echo_id_, args[i])));
+  }
+  EXPECT_NE(futures.front().handle().slot, FutureHandle::kInline);
+  for (std::size_t i = kCalls; i-- > 0;) {
+    const CallPath path = futures[i].wait();
+    EXPECT_TRUE(path == CallPath::kSwitchless || path == CallPath::kFallback)
+        << i;
+    EXPECT_EQ(args[i].out, 101 + i) << i;
+  }
+  EXPECT_EQ(backend->stats().total_calls(), kCalls);
+  EXPECT_GE(backend->stats().switchless_calls.load(), 8u);
+  EXPECT_EQ(backend->stats().in_flight.load(), 0u);
+}
+
+TEST_F(ZcBatchedTest, DroppedFutureStillExecutesAndReleasesItsSlot) {
+  std::atomic<std::uint64_t> runs{0};
+  const auto count_id =
+      enclave_->ocalls().register_fn("count", [&runs](MarshalledCall& call) {
+        auto* a = static_cast<EchoArgs*>(call.args);
+        a->out = a->in + 1;
+        runs.fetch_add(1, std::memory_order_relaxed);
+      });
+  ZcAsyncConfig cfg = batched_config();
   cfg.workers = 1;
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
+  cfg.batch = 2;  // a lone dropped call waits for the window, then runs
+  cfg.flush = 100us;
+  auto* backend = install(cfg);
+
+  {
+    EchoArgs args;
+    args.in = 4;
+    CallFuture dropped = backend->submit(desc_for(count_id, args));
+    ASSERT_NE(dropped.handle().slot, FutureHandle::kInline);
+  }
+  while (runs.load(std::memory_order_acquire) < 1) {
+    std::this_thread::sleep_for(100us);
+  }
+  // Its slot comes back: both slots of the table serve a fresh pair.
+  for (;;) {
+    EchoArgs a;
+    EchoArgs b;
+    a.in = 8;
+    b.in = 9;
+    CallFuture fa = backend->submit(desc_for(echo_id_, a));
+    CallFuture fb = backend->submit(desc_for(echo_id_, b));
+    const bool both_slotted = fa.handle().slot != FutureHandle::kInline &&
+                              fb.handle().slot != FutureHandle::kInline;
+    fa.wait();
+    fb.wait();
+    EXPECT_EQ(a.out, 9u);
+    EXPECT_EQ(b.out, 10u);
+    if (both_slotted) break;
+    std::this_thread::sleep_for(100us);
+  }
+  EXPECT_EQ(runs.load(), 1u);
+  EXPECT_EQ(backend->stats().in_flight.load(), 0u);
+}
+
+TEST_F(ZcBatchedTest, RacingWorkersCountOneFlushPerCompletedSweep) {
+  // Two running workers both sweep each range, so both may see a range's
+  // gate open; only a sweep that completes a call counts a flush.  batch=1
+  // opens every gate on publish: each call completes in exactly one
+  // sweep, so flushes never exceed the calls served.
+  ZcAsyncConfig cfg = batched_config();
+  cfg.workers = 2;
+  cfg.batch = 1;
+  auto* backend = install(cfg);
+
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::jthread> callers;
+    for (int t = 0; t < 4; ++t) {
+      callers.emplace_back([&, t] {
+        for (std::uint64_t i = 0; i < 200; ++i) {
+          EchoArgs args;
+          args.in = static_cast<std::uint64_t>(t) * 10'000 + i;
+          enclave_->ocall(echo_id_, args);
+          if (args.out != args.in + 1) failures.fetch_add(1);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  const std::uint64_t switchless = backend->stats().switchless_calls.load();
+  EXPECT_GE(flushes(*backend), 1u);
+  EXPECT_LE(flushes(*backend), switchless);
+}
+
+TEST_F(ZcBatchedTest, StoppedBackendExecutesRegularly) {
+  ZcAsyncConfig cfg = batched_config();
+  cfg.workers = 1;
+  auto backend = make(*enclave_, cfg);
   // Never started: invoke takes the regular path.
   EchoArgs args;
   args.in = 10;

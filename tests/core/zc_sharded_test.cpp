@@ -13,7 +13,6 @@
 
 #include "core/backend_registry.hpp"
 #include "core/zc_async.hpp"
-#include "core/zc_batched.hpp"
 
 namespace zc {
 namespace {
@@ -370,7 +369,7 @@ TEST_F(ZcShardedTest, ComposedBatchedInnerServesSwitchlessly) {
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_STREQ(backend->name(), "zc_sharded[zc_batched]");
-  ASSERT_NE(dynamic_cast<ZcBatchedBackend*>(&backend->shard(0)), nullptr);
+  ASSERT_NE(dynamic_cast<ZcAsyncBackend*>(&backend->shard(0)), nullptr);
   for (std::uint64_t i = 0; i < 200; ++i) {
     EchoArgs args;
     args.in = i;

@@ -14,7 +14,6 @@
 #include "core/backend_registry.hpp"
 #include "core/zc_async.hpp"
 #include "core/zc_backend.hpp"
-#include "core/zc_batched.hpp"
 #include "core/zc_sharded.hpp"
 #include "intel_sl/intel_backend.hpp"
 #include "workload/synthetic.hpp"
@@ -379,13 +378,9 @@ TEST_F(StressTest, BatchedPauseResumeChurnWhileCallersRun) {
   // Workers are paused (drain, park) and resumed continuously while the
   // callers run: exercises the publish-vs-park wakeup protocol and the
   // forced fallback window when all workers are parked.
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 2;
-  cfg.flush = 50us;
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
+  install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=50");
+  auto* raw = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
+  ASSERT_NE(raw, nullptr);
 
   std::atomic<bool> stop{false};
   std::jthread churner([&] {
@@ -411,13 +406,9 @@ TEST_F(StressTest, LongWindowBatchedUnderPressure) {
 TEST_F(StressTest, LongWindowPauseResumeChurnWhileCallersRun) {
   // A pausing worker drains its published slots without waiting out the
   // window, so a 2 ms window must never strand a call across a pause.
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 2;
-  cfg.flush = 2ms;
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
+  install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=2000");
+  auto* raw = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
+  ASSERT_NE(raw, nullptr);
 
   std::atomic<bool> stop{false};
   std::jthread churner([&] {
@@ -433,14 +424,11 @@ TEST_F(StressTest, LongWindowPauseResumeChurnWhileCallersRun) {
 }
 
 TEST_F(StressTest, BatchedTinySlotPoolsForceFallbacks) {
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 2;
-  cfg.flush = 50us;
-  cfg.slot_pool_bytes = 16;  // smaller than any frame: every claim overflows
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
+  // pool_bytes=16 is smaller than any frame: every claim overflows.
+  install_backend_spec(*enclave_,
+                       "zc_batched:workers=2;batch=2;flush_us=50;pool_bytes=16");
+  auto* raw = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
+  ASSERT_NE(raw, nullptr);
   hammer(scaled_threads(8), scaled_calls(1'000));
   EXPECT_GT(raw->stats().fallback_calls.load(), 0u);
 }
@@ -608,13 +596,9 @@ TEST_F(StressTest, RedundantCommandStormLeavesParkedWorkersAsleep) {
   // value every probe used to wake every parked worker each time.  A
   // 10k-call storm of redundant commands must leave worker_wakeups flat;
   // the real transitions at the end still restore service.
-  ZcBatchedConfig cfg;
-  cfg.workers = 2;
-  cfg.batch = 2;
-  cfg.flush = 50us;
-  auto backend = make_zc_batched_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
+  install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=50");
+  auto* raw = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
+  ASSERT_NE(raw, nullptr);
 
   raw->set_active_workers(0);
   while (raw->stats().worker_sleeps.load() < 2) {

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "core/zc_async.hpp"
 #include "workload/synthetic.hpp"
 
 namespace zc::workload {
@@ -51,6 +52,27 @@ TEST_F(HarnessTest, ZcSpecInstallsZcBackend) {
   EXPECT_STREQ(enclave_->backend().name(), "zc");
   FArgs args;
   EXPECT_EQ(enclave_->ocall(ids_.f_a, args), CallPath::kSwitchless);
+}
+
+TEST_F(HarnessTest, AsyncPlaneServesBothSlottedKeys) {
+  // zc_batched and zc_async build the one slotted plane, so pipelined
+  // drivers accept either; a synchronous family has no plane.
+  for (const char* spec :
+       {"zc_async:workers=1;queue=4", "zc_batched:workers=1;batch=2"}) {
+    install_backend(*enclave_, ModeSpec::parse(spec, "slotted"));
+    ZcAsyncBackend* plane = async_plane(*enclave_);
+    ASSERT_NE(plane, nullptr) << spec;
+    EXPECT_EQ(plane, &enclave_->backend()) << spec;
+    FArgs args;
+    CallDesc desc;
+    desc.fn_id = ids_.f_a;
+    desc.args = &args;
+    desc.args_size = sizeof(args);
+    CallFuture future = plane->submit(desc);
+    EXPECT_EQ(future.wait(), CallPath::kSwitchless) << spec;
+  }
+  install_backend(*enclave_, ModeSpec::zc_mode("scheduler=off,workers=1"));
+  EXPECT_EQ(async_plane(*enclave_), nullptr);
 }
 
 TEST_F(HarnessTest, HotcallsIsAFirstClassMode) {
