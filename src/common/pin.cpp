@@ -12,6 +12,17 @@ unsigned host_logical_cpus() noexcept {
   return n == 0 ? 1 : n;
 }
 
+unsigned allowed_cpus() noexcept {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return host_logical_cpus();
+}
+
 bool pin_current_thread(unsigned cpu) noexcept {
 #ifdef __linux__
   cpu_set_t set;

@@ -11,6 +11,10 @@ namespace zc {
 /// Number of logical CPUs the host OS exposes.
 unsigned host_logical_cpus() noexcept;
 
+/// Number of CPUs the calling thread may run on (its affinity mask, which
+/// `taskset` or a pin narrows); the host count where the mask is unknown.
+unsigned allowed_cpus() noexcept;
+
 /// Pins the calling thread to host CPU `cpu` (modulo the host CPU count).
 /// Returns false if the affinity syscall failed (e.g. restricted cpuset).
 bool pin_current_thread(unsigned cpu) noexcept;

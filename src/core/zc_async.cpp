@@ -1,5 +1,7 @@
 #include "core/zc_async.hpp"
 
+#include <array>
+
 #include "common/cycles.hpp"
 #include "common/pin.hpp"
 #include "sgx/marshal.hpp"
@@ -33,6 +35,33 @@ void CallFuture::drop() noexcept {
 
 // --- ZcAsyncBackend ----------------------------------------------------------
 
+namespace {
+
+// Instance serials key the per-thread claim cursors.  0 marks a free entry.
+std::atomic<std::uint64_t> g_next_serial{1};
+
+/// One thread's claim state on one backend instance.
+struct ClaimCursor {
+  std::uint64_t serial = 0;  ///< the instance this entry belongs to
+  unsigned deal = 0;         ///< home range, modulo the worker count
+};
+
+// Direct-mapped by serial, so a thread that alternates between backends
+// (the sharded router's steal probes) keeps a cursor on each.
+constexpr std::size_t kCursors = 8;
+thread_local std::array<ClaimCursor, kCursors> t_cursors;
+
+ClaimCursor& cursor_entry(std::uint64_t serial) {
+  return t_cursors[serial % kCursors];
+}
+
+// A running worker looks at the other ranges on every poll once its own
+// range has had nothing queued for this many polls in a row; until then it
+// reads the clock every this many polls, and after each flush of its own.
+constexpr std::uint64_t kHelpPeriod = 64;
+
+}  // namespace
+
 // Wakes a possibly-parked worker.  The empty lock/unlock orders this
 // notify after the worker's predicate evaluation: a worker between its
 // predicate check and cv.wait() holds the mutex, so acquiring it here
@@ -49,7 +78,8 @@ ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg,
     : enclave_(enclave),
       cfg_(std::move(cfg)),
       name_(key),
-      flush_ns_(static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000) {
+      flush_ns_(static_cast<std::uint64_t>(cfg_.flush.count()) * 1'000),
+      serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)) {
   if (cfg_.direction == CallDirection::kEcall) name_ += "-ecall";
   if (cfg_.pool == FramePoolKind::kSlab) {
     slab_ = std::make_unique<SlabPool>();
@@ -72,6 +102,7 @@ ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg,
     auto w = std::make_unique<Worker>();
     w->lo = bound(i);
     w->hi = bound(i + 1);
+    for (unsigned s = w->lo; s < w->hi; ++s) slots_[s]->owner = i;
     workers_.push_back(std::move(w));
   }
 }
@@ -144,38 +175,45 @@ CallFuture ZcAsyncBackend::inline_fallback(const CallDesc& desc) {
   return CallFuture(CallPath::kFallback);
 }
 
+bool ZcAsyncBackend::try_claim(Slot& slot) {
+  SlotState expected = SlotState::kFree;
+  return slot.state.load(std::memory_order_relaxed) == expected &&
+         slot.state.compare_exchange_strong(expected, SlotState::kClaimed,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed);
+}
+
+std::uint32_t ZcAsyncBackend::claim(unsigned m) {
+  ClaimCursor& cur = cursor_entry(serial_);
+  if (cur.serial != serial_) {
+    const auto n = static_cast<std::uint64_t>(workers_.size());
+    cur.serial = serial_;
+    cur.deal = static_cast<unsigned>(
+        ticket_.fetch_add(1, std::memory_order_relaxed) % n);
+  }
+  const unsigned home = cur.deal < m ? cur.deal : cur.deal % m;
+  for (unsigned i = 0; i < m; ++i) {
+    const Worker& range = *workers_[(home + i) % m];
+    for (unsigned s = range.lo; s < range.hi; ++s) {
+      if (try_claim(*slots_[s])) return s;
+    }
+  }
+  return FutureHandle::kInline;
+}
+
 bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   if (!running_.load(std::memory_order_relaxed)) return false;
 
   const unsigned m = active_count_.load(std::memory_order_acquire);
   if (m == 0) return false;
 
-  // Claim a free slot in an active range, starting from a rotating range
-  // so concurrent submitters spread across workers.  No free slot in any
-  // active range: immediate refusal, as in plain ZC (§IV-C) — the caller
-  // decides what a refusal means (submit falls back inline; a steal probe
-  // tries elsewhere).
-  Slot* slot = nullptr;
-  Worker* range = nullptr;
-  std::uint32_t index = 0;
-  const std::uint64_t first = ticket_.fetch_add(1, std::memory_order_relaxed);
-  for (std::uint64_t i = 0; i < m && slot == nullptr; ++i) {
-    Worker& candidate = *workers_[(first + i) % m];
-    for (unsigned s = candidate.lo; s < candidate.hi; ++s) {
-      Slot& probe = *slots_[s];
-      SlotState expected = SlotState::kFree;
-      if (probe.state.load(std::memory_order_relaxed) == expected &&
-          probe.state.compare_exchange_strong(expected, SlotState::kClaimed,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-        slot = &probe;
-        range = &candidate;
-        index = s;
-        break;
-      }
-    }
-  }
-  if (slot == nullptr) return false;
+  // No free slot in any active range: immediate refusal, as in plain ZC
+  // (§IV-C) — the caller decides what a refusal means (submit falls back
+  // inline; a steal probe tries elsewhere).
+  const std::uint32_t index = claim(m);
+  if (index == FutureHandle::kInline) return false;
+  Slot* slot = slots_[index].get();
+  Worker& range = *workers_[slot->owner];
 
   void* mem = nullptr;
   if (slab_ != nullptr) {
@@ -208,7 +246,7 @@ bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   // worker, or the worker's pre-sleep sweep observes this QUEUED slot.
   // Plain release/acquire would allow both sides to miss each other.
   slot->state.store(SlotState::kQueued, std::memory_order_seq_cst);
-  if (range->parked.load(std::memory_order_seq_cst)) wake(*range);
+  if (range.parked.load(std::memory_order_seq_cst)) wake(range);
 
   // stop() race: if the backend stopped between our running_ check and the
   // publish, the exiting worker's last sweep may have seen this slot still
@@ -394,13 +432,7 @@ ZcAsyncBackend::Sweep ZcAsyncBackend::sweep(const Worker& range) const {
   return out;
 }
 
-unsigned ZcAsyncBackend::serve(Worker& range, unsigned& queued) {
-  const Sweep swept = sweep(range);
-  queued = swept.queued;
-  const FlushCause cause =
-      flush_cause(swept, range.cmd.load(std::memory_order_acquire),
-                  range.eager.load(std::memory_order_relaxed));
-  if (cause == FlushCause::kNone) return 0;
+unsigned ZcAsyncBackend::flush(Worker& range, FlushCause cause) {
   unsigned completed = 0;
   for (unsigned i = range.lo; i < range.hi; ++i) {
     Slot& s = *slots_[i];
@@ -423,6 +455,34 @@ unsigned ZcAsyncBackend::serve(Worker& range, unsigned& queued) {
     range.eager.store(true, std::memory_order_relaxed);
   }
   return completed;
+}
+
+unsigned ZcAsyncBackend::serve(Worker& range, unsigned& queued) {
+  const Sweep swept = sweep(range);
+  queued = swept.queued;
+  const FlushCause cause =
+      flush_cause(swept, range.cmd.load(std::memory_order_acquire),
+                  range.eager.load(std::memory_order_relaxed));
+  if (cause == FlushCause::kNone) return 0;
+  return flush(range, cause);
+}
+
+unsigned ZcAsyncBackend::help(std::size_t self, bool idle) {
+  const std::size_t n = workers_.size();
+  unsigned served = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    Worker& range = *workers_[(self + i) % n];
+    if (idle) {
+      unsigned ignored = 0;
+      served += serve(range, ignored);
+      continue;
+    }
+    const Sweep swept = sweep(range);
+    if (swept.queued > 0 && wall_ns() - swept.oldest_ns >= flush_ns_) {
+      served += flush(range, FlushCause::kWindow);
+    }
+  }
+  return served;
 }
 
 void ZcAsyncBackend::worker_main(Worker& w) {
@@ -453,30 +513,45 @@ void ZcAsyncBackend::worker_main(Worker& w) {
     w.parked.store(false, std::memory_order_seq_cst);
   };
 
-  const auto n = workers_.size();
   std::size_t self = 0;
   while (workers_[self].get() != &w) ++self;
 
-  std::uint64_t iterations = 0;
-  // A flush that just woke its callers left them runnable; on a narrow
-  // host the worker's poll loop would burn the rest of its timeslice
-  // racing the very threads that must run before anything new can be
-  // published.  Donate the CPU once, immediately, instead of waiting for
-  // the 1024-iteration courtesy yield below.
+  // A host with no CPU to spare (no more CPUs than the workers plus one
+  // caller) time-shares them among workers and callers.  There a flush
+  // that just woke its callers left them runnable, and the worker's poll
+  // loop would burn the rest of its timeslice racing the very threads that
+  // must run before anything new can be published, so it donates the CPU
+  // once, immediately.  And there an owner is often descheduled, so every
+  // running worker serves every open gate.  On a wider host the yield
+  // would only delay the worker's next look at its own range.
+  const bool narrow = allowed_cpus() <= workers_.size() + 1;
   bool just_flushed = false;
+  std::uint64_t iterations = 0;
+  std::uint64_t polls = 0;
+  std::uint64_t idle_polls = 0;  // polls in a row with the own range empty
+  std::uint64_t helped_ns = 0;   // when this worker last looked elsewhere
   for (;;) {
     const WorkerCmd cmd = w.cmd.load(std::memory_order_acquire);
     unsigned queued = 0;
     unsigned served = serve(w, queued);
-    // A running worker then helps: the other ranges' open-gate slots.
+    // Owner-first: a running worker serves the other ranges' open gates
+    // only once its own range has stayed idle (a lone pipelined caller, a
+    // light caller next to a heavy one) or on a narrow host.  Busy or not,
+    // once per flush window it takes their calls that waited the window
+    // out (an owner stuck in a long handler).
     if (cmd == WorkerCmd::kRun) {
-      for (std::size_t i = 1; i < n; ++i) {
-        unsigned ignored = 0;
-        served += serve(*workers_[(self + i) % n], ignored);
+      idle_polls = queued == 0 ? idle_polls + 1 : 0;
+      const bool idle = narrow || idle_polls >= kHelpPeriod;
+      bool due = false;
+      if (!idle && (served > 0 || ++polls % kHelpPeriod == 0)) {
+        const std::uint64_t now = wall_ns();
+        due = now - helped_ns >= flush_ns_;
+        if (due) helped_ns = now;
       }
+      if (idle || due) served += help(self, idle);
     }
     if (served > 0) {
-      just_flushed = true;
+      just_flushed = narrow;
       continue;
     }
 

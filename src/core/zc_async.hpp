@@ -9,10 +9,19 @@
 // so the plane slots into the registry, `install_backend_spec`, the
 // `direction=ecall` plane and the equivalence suite unchanged.
 //
-// The table is split into one contiguous home range per worker, and
-// submitters claim slots in the ranges of active workers, starting from
-// a rotating range.  A worker runs a range's queued slots only when that
-// range's flush gate is open (flush_cause):
+// The table is split into one contiguous home range per worker, and the
+// plane is caller-affine, as FlexSC keeps each thread's syscall entries
+// local to one syscall core.  Each thread keeps a claim cursor per backend
+// instance (keyed by a per-instance serial, so a destroyed backend's state
+// never steers a new one built at the same address) and claims the first
+// free slot of its home range, then of the other active ranges from
+// home+1.  The home is dealt once per thread from a shared counter and
+// reduced modulo the active worker count, so after the first claim the hot
+// path writes no shared word, and sequential callers get distinct home
+// ranges while there are enough.
+//
+// A worker runs its own range's queued slots only when that range's flush
+// gate is open (flush_cause):
 //   - `batch` calls are queued (with batch=1 the gate opens on publish);
 //   - the range's worker is pausing or exiting, and drains;
 //   - the learned eager flush fires: the range has learned that waiting
@@ -24,8 +33,18 @@
 // window expires, which keeps concurrent publishes batching.  The gate is
 // evaluated per range, not over the whole table, so one caller's long
 // marshal (a 32 KB encrypt under copy=single) holds only its own range.
-// Each worker serves its own range first, then the open-gate slots of the
-// other ranges, so any running worker drains any range.
+//
+// Service is owner-first, so each caller's slots and handler state stay
+// with one worker instead of bouncing among all of them.  A running
+// worker also serves the other ranges' open gates, but only once its own
+// range has had nothing queued for 64 polls in a row (a lone pipelined
+// caller, or a light caller next to a heavy one, leaves a worker idle).
+// Busy or not, once per `flush` window it takes the other ranges' calls
+// that waited the window out, so a call queued behind an owner stuck in a
+// long handler still runs.  On a host with no CPU to spare (no more CPUs
+// than workers plus one caller) owners are often descheduled, so there
+// every running worker serves every open gate, and a worker that has just
+// woken its callers yields once.
 //
 //   zc_batched  workers×batch slots, batch 8, flush 100 µs, spin 50 µs,
 //               wait=yield: callers wait for a batch.
@@ -84,6 +103,8 @@ struct ZcAsyncConfig {
   unsigned batch = 1;
   /// Max age of a range's oldest queued call before a partial flush: how
   /// long a worker waits while co-publishers are expected (batch > 1).
+  /// Also how long a call waits behind a busy owner before another busy
+  /// worker takes it.
   std::chrono::microseconds flush{100};
   /// Collect-side spin budget (`pause`) before the `wait` policy applies.
   /// Every yield bumps BackendStats::caller_yields.
@@ -210,8 +231,8 @@ class ZcAsyncBackend final : public CallBackend {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Test hook: plants the rotating-claim counter (wraparound regression
-  /// tests start it just below the old 32-bit boundary).
+  /// Test hook: plants the home-range dealer (wraparound regression tests
+  /// start it just below the old 32-bit boundary).
   void set_claim_rotation_for_test(std::uint64_t v) noexcept {
     ticket_.store(v, std::memory_order_relaxed);
   }
@@ -253,6 +274,7 @@ class ZcAsyncBackend final : public CallBackend {
 
   struct alignas(64) Slot {
     explicit Slot(std::size_t pool_bytes) : pool(pool_bytes) {}
+    unsigned owner = 0;  ///< index of the worker whose home range holds it
     std::atomic<SlotState> state{SlotState::kFree};
     std::atomic<std::uint64_t> generation{0};
     std::atomic<std::uint64_t> publish_ns{0};  ///< flush-window anchor
@@ -304,6 +326,13 @@ class ZcAsyncBackend final : public CallBackend {
   /// Runs `range`'s queued slots when its gate is open; returns the calls
   /// this worker completed and reports the queued count it swept.
   unsigned serve(Worker& range, unsigned& queued);
+  /// Runs the other ranges' queued calls: those behind an open gate when
+  /// this worker's own range is `idle`, else those that waited out the
+  /// flush window.
+  unsigned help(std::size_t self, bool idle);
+  /// Runs every queued slot of `range` this worker wins; counts one flush
+  /// when it completes any and learns eager from a lone window flush.
+  unsigned flush(Worker& range, FlushCause cause);
   /// Dispatches one claimed (kExecuting) slot and publishes kDone (or,
   /// when the call was abandoned, releases the slot in place).
   void execute_slot(Slot& slot);
@@ -313,6 +342,11 @@ class ZcAsyncBackend final : public CallBackend {
   /// Claim + publish without any fallback; false when the table/frame/
   /// worker situation refuses the call (no side effects then).
   bool try_submit(const CallDesc& desc, FutureHandle& out);
+  /// Claims a free slot in the active ranges [0, m) in the calling
+  /// thread's cursor order; its index, or kInline when all are taken.
+  std::uint32_t claim(unsigned m);
+  /// CAS FREE->CLAIMED, testing first: a failed CAS takes the line.
+  static bool try_claim(Slot& slot);
 
   // CallFuture plumbing.
   CallPath collect(FutureHandle h);
@@ -327,14 +361,12 @@ class ZcAsyncBackend final : public CallBackend {
   std::atomic<unsigned> active_count_{0};
   /// The flush window, cfg_.flush in wall nanoseconds.
   const std::uint64_t flush_ns_;
-  /// Rotating claim start.  64-bit so the rotation index `(first + i) % m`
-  /// never jumps at a wraparound mid-scan (a 32-bit counter would skew
-  /// claim spreading at 2^32); the force-wrap regression tests pin the
-  /// behaviour at that boundary.  The one member every call writes, so it
-  /// starts its own cache line: sharing one with cfg_, workers_ or slab_
-  /// would make each claim invalidate what workers and the other caller
-  /// read on every call.
-  alignas(64) std::atomic<std::uint64_t> ticket_{0};
+  /// Keys the calling threads' claim cursors to this instance.
+  const std::uint64_t serial_;
+  /// Deals each thread its home range on its first claim (cold path).
+  /// 64-bit so no deal jumps at a 32-bit wraparound; the force-wrap
+  /// regression tests pin the behaviour at that boundary.
+  std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
 };
 

@@ -1,11 +1,13 @@
 // Future-based ZC backend: submit()/wait()/poll() semantics, completion
 // ordering under out-of-order worker finishes, generation-counter ABA
 // protection, double-wait and drop-without-wait future lifetime,
-// queue-full backpressure and pause/resume churn with in-flight futures.
+// queue-full backpressure, pause/resume churn with in-flight futures, and
+// caller affinity: claim cursors, home ranges and owner-first service.
 #include "core/zc_async.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -539,22 +541,25 @@ INSTANTIATE_TEST_SUITE_P(WaitPolicies, ZcAsyncPlaneTest,
                          });
 
 TEST_F(ZcAsyncTest, TicketCounterSurvivesThe32BitBoundary) {
-  // Regression: ticket_ was a 32-bit fetch_add.  A long-lived backend
-  // wrapping it mid-run corrupted the rotation (and, had generations been
-  // derived from it, the ABA protection).  Plant the counter just below
-  // 2^32 and drive enough traffic through to cross the boundary.
+  // Regression: ticket_ was a 32-bit fetch_add.  It now deals each thread
+  // its home range on the thread's first claim; plant it just below 2^32
+  // and deal enough fresh threads to cross the boundary.
   ZcAsyncConfig cfg;
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
   backend->set_claim_rotation_for_test((std::uint64_t{1} << 32) - 100);
 
-  for (std::uint64_t i = 0; i < 400; ++i) {
-    EchoArgs args;
-    args.in = i;
-    CallFuture future = backend->submit(echo_desc(args));
-    future.wait();
-    ASSERT_EQ(args.out, i + 1) << i;
+  for (std::uint64_t t = 0; t < 200; ++t) {
+    std::jthread([&, t] {
+      for (std::uint64_t i = 0; i < 2; ++i) {
+        EchoArgs args;
+        args.in = t * 10 + i;
+        CallFuture future = backend->submit(echo_desc(args));
+        future.wait();
+        EXPECT_EQ(args.out, args.in + 1) << t;
+      }
+    }).join();
   }
   EXPECT_EQ(backend->stats().total_calls(), 400u);
 }
@@ -624,6 +629,270 @@ TEST_F(ZcAsyncTest, EveryCompletingSweepCountsOneFlush) {
   const std::uint64_t flushes = backend->stats().batch_flushes.load();
   EXPECT_GE(flushes, 1u);
   EXPECT_LE(flushes, backend->stats().switchless_calls.load());
+}
+
+// --- Caller affinity ----------------------------------------------------------
+
+TEST_F(ZcAsyncTest, BlockedOwnerIsHelpedByAnIdleWorker) {
+  // Both calls land in the caller's home range; the gated one holds the
+  // range's owner.  The other running worker, whose own range is idle,
+  // must take the echo call, and it counts as switchless.
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 4;
+  auto* backend = install(cfg);
+
+  EchoArgs slow;
+  slow.in = 7;
+  CallFuture slow_future = backend->submit(gated_desc(slow));
+  EchoArgs fast;
+  fast.in = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  CallFuture fast_future = backend->submit(echo_desc(fast));
+  ASSERT_NE(slow_future.handle().slot, FutureHandle::kInline);
+  ASSERT_NE(fast_future.handle().slot, FutureHandle::kInline);
+  EXPECT_EQ(slow_future.handle().slot / 2, fast_future.handle().slot / 2);
+
+  const auto deadline = t0 + 2s;
+  while (!fast_future.poll() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(50us);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(fast_future.poll()) << "stranded behind its blocked owner";
+  EXPECT_LT(elapsed, cfg.flush + 500ms);
+  EXPECT_FALSE(slow_future.poll());
+
+  gate_.store(true, std::memory_order_release);
+  EXPECT_EQ(fast_future.wait(), CallPath::kSwitchless);
+  EXPECT_EQ(fast.out, 2u);
+  EXPECT_EQ(slow_future.wait(), CallPath::kSwitchless);
+  EXPECT_EQ(slow.out, 70u);
+  EXPECT_EQ(backend->stats().switchless_calls.load(), 2u);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
+}
+
+TEST_F(ZcAsyncTest, BlockedOwnerIsHelpedByABusyWorkerOnceTheWindowPasses) {
+  // As above, but the helper's own range never goes idle: a second caller
+  // keeps four slow calls in flight there.  The busy helper must still take
+  // the call stranded behind the held owner once it has waited out the
+  // flush window.
+  std::atomic<bool> held{false};
+  const auto hold_id =
+      enclave_->ocalls().register_fn("hold", [&](MarshalledCall& call) {
+        held.store(true, std::memory_order_release);
+        while (!gate_.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        static_cast<EchoArgs*>(call.args)->out = 70;
+      });
+  const auto slow_id =
+      enclave_->ocalls().register_fn("slow", [](MarshalledCall& call) {
+        auto* a = static_cast<EchoArgs*>(call.args);
+        const auto until = std::chrono::steady_clock::now() + 2ms;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        a->out = a->in + 1;
+      });
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  // With worker 1 paused, this thread claims first (home range 0) and
+  // the held call can only go to worker 0.
+  backend->set_active_workers(1);
+  EchoArgs gated;
+  CallDesc hold = gated_desc(gated);
+  hold.fn_id = hold_id;
+  CallFuture gated_future = backend->submit(hold);
+  ASSERT_NE(gated_future.handle().slot, FutureHandle::kInline);
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  backend->set_active_workers(2);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> busy_calls{0};
+  std::atomic<int> failures{0};
+  std::jthread busy([&] {
+    std::array<EchoArgs, 4> ring{};
+    std::array<CallFuture, 4> futures;
+    CallDesc desc;
+    desc.fn_id = slow_id;
+    desc.args_size = sizeof(EchoArgs);
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+      const std::size_t k = i % ring.size();
+      if (futures[k].valid()) {
+        futures[k].wait();
+        if (ring[k].out != ring[k].in + 1) failures++;
+        busy_calls.fetch_add(1, std::memory_order_relaxed);
+      }
+      ring[k].in = i;
+      desc.args = &ring[k];
+      futures[k] = backend->submit(desc);
+      if (futures[k].handle().slot / 4 != 1) failures++;
+    }
+    for (auto& f : futures) f.wait();
+  });
+  while (busy_calls.load(std::memory_order_relaxed) < 10) {
+    std::this_thread::sleep_for(100us);
+  }
+
+  EchoArgs fast;
+  fast.in = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  CallFuture fast_future = backend->submit(echo_desc(fast));
+  ASSERT_EQ(fast_future.handle().slot / 4, gated_future.handle().slot / 4);
+  const auto deadline = t0 + 2s;
+  while (!fast_future.poll() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(50us);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(fast_future.poll()) << "stranded behind its blocked owner";
+  EXPECT_LT(elapsed, cfg.flush + 500ms);
+  EXPECT_FALSE(gated_future.poll());
+
+  stop.store(true, std::memory_order_release);
+  busy.join();
+  gate_.store(true, std::memory_order_release);
+  EXPECT_EQ(fast_future.wait(), CallPath::kSwitchless);
+  EXPECT_EQ(fast.out, 2u);
+  EXPECT_EQ(gated_future.wait(), CallPath::kSwitchless);
+  EXPECT_EQ(gated.out, 70u);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
+}
+
+TEST_F(ZcAsyncTest, SequentialCallerReusesTheSlotItsLastCollectFreed) {
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  std::uint32_t first = FutureHandle::kInline;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EchoArgs args;
+    args.in = i;
+    CallFuture future = backend->submit(echo_desc(args));
+    if (i == 0) first = future.handle().slot;
+    ASSERT_EQ(future.handle().slot, first) << i;
+    EXPECT_EQ(future.wait(), CallPath::kSwitchless);
+    ASSERT_EQ(args.out, i + 1);
+  }
+}
+
+TEST_F(ZcAsyncTest, PipelinedCallersStayInTheirHomeRanges) {
+  // Two callers, four futures each, on two 4-slot ranges: each keeps to
+  // its own home range, and the two homes differ.
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  constexpr unsigned kDepth = 4;
+  std::array<std::vector<std::uint32_t>, 2> ranges;
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::jthread> callers;
+    for (unsigned t = 0; t < 2; ++t) {
+      callers.emplace_back([&, t] {
+        std::vector<EchoArgs> ring(kDepth);
+        std::vector<CallFuture> futures(kDepth);
+        for (std::uint64_t i = 0; i < 400; ++i) {
+          const std::size_t k = i % kDepth;
+          futures[k].wait();
+          if (i >= kDepth && ring[k].out != ring[k].in + 1) failures++;
+          ring[k].in = t * 10'000 + i;
+          futures[k] = backend->submit(echo_desc(ring[k]));
+          ranges[t].push_back(futures[k].handle().slot / kDepth);
+        }
+        for (std::size_t k = 0; k < kDepth; ++k) {
+          futures[k].wait();
+          if (ring[k].out != ring[k].in + 1) failures++;
+        }
+      });
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  for (const auto& r : ranges) {
+    for (std::uint32_t range : r) ASSERT_EQ(range, r.front());
+  }
+  EXPECT_NE(ranges[0].front(), ranges[1].front());
+  EXPECT_EQ(backend->stats().switchless_calls.load(), 800u);
+}
+
+TEST_F(ZcAsyncTest, ACursorNeverOutlivesItsBackend) {
+  // A backend built where a destroyed one lived (often the same address)
+  // must not inherit this thread's cursor: every claim on the 4-slot
+  // successor stays in its table.
+  {
+    ZcAsyncConfig cfg;
+    cfg.workers = 2;
+    cfg.queue = 16;
+    auto backend = make_zc_async_backend(*enclave_, cfg);
+    backend->start();
+    std::vector<EchoArgs> args(cfg.queue);
+    std::vector<CallFuture> futures;
+    for (auto& a : args) {
+      futures.push_back(backend->submit(echo_desc(a)));
+      EXPECT_NE(futures.back().handle().slot, FutureHandle::kInline);
+    }
+    for (auto& f : futures) f.wait();
+    backend->stop();
+  }
+
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 4;
+  auto* backend = install(cfg);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EchoArgs args;
+    args.in = i;
+    CallFuture future = backend->submit(echo_desc(args));
+    ASSERT_LT(future.handle().slot, cfg.queue) << i;
+    EXPECT_EQ(future.wait(), CallPath::kSwitchless);
+    ASSERT_EQ(args.out, i + 1);
+  }
+}
+
+TEST_F(ZcAsyncTest, OneThreadAlternatingBetweenTwoBackendsStaysCorrect) {
+  // The sharded router's steal probes drive several planes from one
+  // thread: each keeps its own cursor, so claims stay in the right table.
+  ZcAsyncConfig big;
+  big.workers = 2;
+  big.queue = 16;
+  ZcAsyncConfig small = big;
+  small.queue = 4;
+  auto a = make_zc_async_backend(*enclave_, big);
+  auto b = make_zc_async_backend(*enclave_, small);
+  a->start();
+  b->start();
+
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    EchoArgs args_a;
+    EchoArgs args_b;
+    args_a.in = i;
+    args_b.in = i + 1'000;
+    CallFuture fa = a->submit(echo_desc(args_a));
+    CallFuture fb = b->submit(echo_desc(args_b));
+    ASSERT_LT(fa.handle().slot, big.queue) << i;
+    ASSERT_LT(fb.handle().slot, small.queue) << i;
+    // Collect in alternating order, so each backend's slot is freed both
+    // before and after the other's.
+    if (i % 2 == 0) {
+      EXPECT_EQ(fa.wait(), CallPath::kSwitchless);
+      EXPECT_EQ(fb.wait(), CallPath::kSwitchless);
+    } else {
+      EXPECT_EQ(fb.wait(), CallPath::kSwitchless);
+      EXPECT_EQ(fa.wait(), CallPath::kSwitchless);
+    }
+    ASSERT_EQ(args_a.out, i + 1);
+    ASSERT_EQ(args_b.out, i + 1'001);
+  }
+  a->stop();
+  b->stop();
+  EXPECT_EQ(a->stats().switchless_calls.load(), 300u);
+  EXPECT_EQ(b->stats().switchless_calls.load(), 300u);
+  EXPECT_EQ(a->stats().in_flight.load(), 0u);
+  EXPECT_EQ(b->stats().in_flight.load(), 0u);
 }
 
 TEST_F(ZcAsyncTest, NeverStartedBackendExecutesRegularly) {

@@ -34,6 +34,14 @@ ZcAsyncConfig batched_config() {
   return cfg;
 }
 
+CallDesc desc_for(std::uint32_t fn_id, EchoArgs& args) {
+  CallDesc desc;
+  desc.fn_id = fn_id;
+  desc.args = &args;
+  desc.args_size = sizeof(args);
+  return desc;
+}
+
 std::unique_ptr<ZcAsyncBackend> make(Enclave& enclave, ZcAsyncConfig cfg) {
   cfg.queue = cfg.workers * cfg.batch;
   return make_zc_async_backend(enclave, cfg, "zc_batched");
@@ -532,6 +540,59 @@ TEST_F(ZcBatchedEagerTest, ProducerMidClaimStillBatches) {
   EXPECT_EQ(backend->stats().switchless_calls.load(), 3u);
 }
 
+TEST_F(ZcBatchedEagerTest, SequentialCallersNeverShareAHomeRange) {
+  // A holds a producer mid-claim in its home range.  B's home is the other
+  // range, so once a window flush has made that range eager, B's lone call
+  // flushes at once.  Sharing A's range, it would wait out the window.
+  ZcAsyncConfig cfg = eager_config();
+  cfg.workers = 2;
+  cfg.flush = 100ms;
+  cfg.copy = CopyMode::kSingle;
+  auto* backend = install(cfg);
+
+  HeldProducer held;
+  EchoArgs args_a;
+  args_a.in = 10;
+  std::uint32_t slot_a = FutureHandle::kInline;
+  std::jthread a([&] {
+    CallDesc desc;
+    desc.fn_id = echo_id_;
+    desc.args = &args_a;
+    desc.args_size = sizeof(args_a);
+    desc.produce_in = &HeldProducer::produce;
+    desc.in_size = 64;
+    desc.inplace_ctx = &held;
+    CallFuture future = backend->submit(desc);
+    slot_a = future.handle().slot;
+    EXPECT_EQ(future.wait(), CallPath::kSwitchless);
+  });
+  while (!held.inside.load()) std::this_thread::yield();
+
+  std::uint32_t slot_b = FutureHandle::kInline;
+  std::chrono::steady_clock::duration lone{};
+  std::jthread([&] {
+    EchoArgs prime;  // served by the window: B's range learns eager
+    EXPECT_EQ(backend->submit(desc_for(echo_id_, prime)).wait(),
+              CallPath::kSwitchless);
+    EchoArgs args;
+    args.in = 20;
+    const auto t0 = std::chrono::steady_clock::now();
+    CallFuture future = backend->submit(desc_for(echo_id_, args));
+    slot_b = future.handle().slot;
+    EXPECT_EQ(future.wait(), CallPath::kSwitchless);
+    lone = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(args.out, 21u);
+  }).join();
+  EXPECT_LT(lone, cfg.flush / 2);
+
+  held.release.store(true);
+  a.join();
+  EXPECT_EQ(args_a.out, 11u);
+  ASSERT_NE(slot_a, FutureHandle::kInline);
+  ASSERT_NE(slot_b, FutureHandle::kInline);
+  EXPECT_NE(slot_a / cfg.batch, slot_b / cfg.batch);
+}
+
 // --- stop() racing a publish ------------------------------------------------
 
 TEST_F(ZcBatchedTest, StopWhileAProducerIsMidClaimStillServesItsCall) {
@@ -583,8 +644,9 @@ TEST_F(ZcBatchedTest, StopWhileAProducerIsMidClaimStillServesItsCall) {
 }
 
 TEST_F(ZcBatchedTest, TableClaimRotationSurvivesThe32BitBoundary) {
-  // Regression: the rotating worker-claim counter used to be a 32-bit
-  // fetch_add; planting it just below 2^32 forces the wrap mid-run.
+  // Regression: the home-range dealer used to be a 32-bit fetch_add;
+  // planting it just below 2^32 and dealing fresh pairs of concurrent
+  // callers forces the wrap mid-run.
   ZcAsyncConfig cfg = batched_config();
   cfg.workers = 2;
   cfg.batch = 2;
@@ -593,13 +655,13 @@ TEST_F(ZcBatchedTest, TableClaimRotationSurvivesThe32BitBoundary) {
   backend->set_claim_rotation_for_test((std::uint64_t{1} << 32) - 50);
 
   std::atomic<int> failures{0};
-  {
+  for (std::uint64_t round = 0; round < 100; ++round) {
     std::vector<std::jthread> callers;
-    for (int t = 0; t < 2; ++t) {
+    for (std::uint64_t t = 0; t < 2; ++t) {
       callers.emplace_back([&, t] {
-        for (std::uint64_t i = 0; i < 200; ++i) {
+        for (std::uint64_t i = 0; i < 2; ++i) {
           EchoArgs args;
-          args.in = static_cast<std::uint64_t>(t) * 10'000 + i;
+          args.in = round * 100 + t * 10 + i;
           enclave_->ocall(echo_id_, args);
           if (args.out != args.in + 1) failures.fetch_add(1);
         }
@@ -643,14 +705,6 @@ TEST_F(ZcBatchedTest, RedundantSetActiveWorkersWakesNobody) {
 }
 
 // --- Futures on batched ranges ----------------------------------------------
-
-CallDesc desc_for(std::uint32_t fn_id, EchoArgs& args) {
-  CallDesc desc;
-  desc.fn_id = fn_id;
-  desc.args = &args;
-  desc.args_size = sizeof(args);
-  return desc;
-}
 
 TEST_F(ZcBatchedTest, OutOfOrderWaitsResolveTheRightFutures) {
   // Futures on the batched key: twelve submissions against an 8-slot
