@@ -110,8 +110,10 @@ int main(int argc, char** argv) try {
         "zc:workers=2;max_workers=2",
         "zc:workers=2;max_workers=2;pool=slab",
         "zc:workers=2;max_workers=2;pool=slab;copy=single",
-        "zc_batched:workers=2;batch=8;pool=slab;copy=single",
-        "zc_async:workers=2;queue=16;pool=slab;copy=single",
+        // The slotted plane runs its configless scheduler with workers=2
+        // as the maximum; scheduler=on names that in every row.
+        "zc_batched:workers=2;scheduler=on;batch=8;pool=slab;copy=single",
+        "zc_async:workers=2;scheduler=on;queue=16;pool=slab;copy=single",
     };
   } else {
     for (const std::string& s : specs) {

@@ -226,8 +226,9 @@ BENCHMARK(BM_Memcpy)
 void BM_BatchedWaitPolicy(benchmark::State& state) {
   Fixture f;
   const std::uint64_t spin_us = static_cast<std::uint64_t>(state.range(0));
-  install_backend_spec(*f.enclave, "zc_batched:workers=1;batch=1;spin_us=" +
-                                       std::to_string(spin_us));
+  install_backend_spec(*f.enclave,
+                       "zc_batched:workers=1;scheduler=off;batch=1;spin_us=" +
+                           std::to_string(spin_us));
   NopArgs args;
   for (auto _ : state) {
     f.enclave->ocall(f.nop_id, args);
@@ -326,8 +327,8 @@ void BM_BatchedPipelined(benchmark::State& state) {
         }
       });
   install_backend_spec(*f.enclave,
-                       "zc_batched:workers=1;batch=16;flush_us=50;wait=futex;"
-                       "spin_us=0");
+                       "zc_batched:workers=1;scheduler=off;batch=16;"
+                       "flush_us=50;wait=futex;spin_us=0");
   std::vector<std::vector<std::uint64_t>> lat(kCallers);
   std::barrier sync(kCallers + 1);
   std::atomic<bool> stop{false};

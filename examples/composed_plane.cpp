@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
       "zc:scheduler=off;workers=2",
       "zc:scheduler=off;workers=2;wait=futex;spin_us=0",
       "zc_sharded:shards=2;workers=1;scheduler=off",
-      "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=8)",
-      "zc_sharded:shards=2;steal=on;inner=(zc_async:workers=1;queue=8)",
+      "zc_sharded:shards=2;inner=(zc_batched:workers=1;scheduler=off;batch=8)",
+      "zc_sharded:shards=2;steal=on;"
+      "inner=(zc_async:workers=1;scheduler=off;queue=8)",
   };
 
   std::cout << "# " << total_calls << " echo ocalls, " << callers

@@ -515,6 +515,9 @@ ZcAsyncConfig slotted_config(const BackendSpec& spec, CpuUsageMeter* meter) {
   if (cfg.workers == 0) {
     throw BackendSpecError(spec.key + ": workers must be > 0");
   }
+  // The configless scheduler runs `workers` as its maximum; off keeps
+  // them all active.
+  cfg.scheduler_enabled = spec.get_bool("scheduler", cfg.scheduler_enabled);
   return cfg;
 }
 
@@ -726,15 +729,15 @@ BackendRegistry& BackendRegistry::instance() {
          "the slotted plane with per-worker ranges of batch=K slots, "
          "flushed when full, after a flush_us=T window, or eagerly for a "
          "lone caller",
-         {"workers", "batch", "flush_us", "spin_us", "wait", "pool_bytes",
-          "pool", "copy", "direction"},
+         {"workers", "scheduler", "batch", "flush_us", "spin_us", "wait",
+          "pool_bytes", "pool", "copy", "direction"},
          build_zc_batched});
     r->register_backend(
         {"zc_async",
          "the slotted plane with every publish run at once: submit()/"
          "wait() futures, futex/condvar completion, no caller spin",
-         {"workers", "queue", "pool_bytes", "pool", "copy", "wait",
-          "direction"},
+         {"workers", "scheduler", "queue", "pool_bytes", "pool", "copy",
+          "wait", "direction"},
          build_zc_async});
     r->register_backend(
         {"record",

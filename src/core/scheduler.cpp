@@ -1,5 +1,6 @@
 #include "core/scheduler.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/cycles.hpp"
@@ -7,16 +8,16 @@
 
 namespace zc {
 
-ZcScheduler::ZcScheduler(Enclave& enclave, const ZcConfig& cfg,
-                         std::vector<std::unique_ptr<ZcWorker>>& workers,
-                         BackendStats& stats,
-                         std::atomic<unsigned>& active_count)
+ZcScheduler::ZcScheduler(Enclave& enclave, WorkerSet& workers,
+                         BackendStats& stats, CpuUsageMeter* meter,
+                         std::chrono::microseconds quantum, double mu)
     : enclave_(enclave),
-      cfg_(cfg),
       workers_(workers),
       stats_(stats),
-      active_count_(active_count),
-      occupancy_ns_(workers.size() + 1, 0),
+      meter_(meter),
+      quantum_(quantum),
+      mu_(mu),
+      occupancy_ns_(workers.max_workers() + 1, 0),
       occupancy_since_(wall_ns()) {}
 
 ZcScheduler::~ZcScheduler() { stop(); }
@@ -24,7 +25,8 @@ ZcScheduler::~ZcScheduler() { stop(); }
 void ZcScheduler::start() {
   if (thread_.joinable()) return;
   occupancy_since_ = wall_ns();
-  occupancy_current_ = active_count_.load(std::memory_order_relaxed);
+  occupancy_current_ =
+      workers_.active_count().load(std::memory_order_relaxed);
   thread_ = std::jthread([this](std::stop_token st) { main(st); });
 }
 
@@ -46,32 +48,31 @@ void ZcScheduler::note_occupancy_change(unsigned new_count) {
 }
 
 void ZcScheduler::publish_active(unsigned m) {
-  active_count_.store(m, std::memory_order_release);
+  workers_.active_count().store(m, std::memory_order_release);
   note_occupancy_change(m);
 }
 
 void ZcScheduler::set_active(unsigned m) {
-  if (m > workers_.size()) m = static_cast<unsigned>(workers_.size());
-  // Publish the scan bound first so callers stop reserving soon-to-pause
+  const unsigned max = workers_.max_workers();
+  if (m > max) m = max;
+  // Publish the claim bound first so callers stop reserving soon-to-pause
   // workers, then deliver per-worker commands (paper: "the scheduler sets a
   // value in the worker's buffer").
   publish_active(m);
-  for (unsigned i = 0; i < workers_.size(); ++i) {
-    workers_[i]->command(i < m ? SchedCmd::kRun : SchedCmd::kPause);
-  }
+  for (unsigned i = 0; i < max; ++i) workers_.command_worker(i, i < m);
 }
 
 bool ZcScheduler::probe(unsigned i, const std::stop_token& st) {
-  if (i > workers_.size()) i = static_cast<unsigned>(workers_.size());
+  i = std::min(i, workers_.max_workers());
   publish_active(i);
-  for (unsigned w = 0; w < i; ++w) workers_[w]->command(SchedCmd::kRun);
+  for (unsigned w = 0; w < i; ++w) workers_.command_worker(w, true);
   // A resumed worker stays PAUSED until its condvar wake is scheduled; until
   // then every call it would have served falls back.  Yield rather than
   // sleep: on a host without a spare core, the resumed worker is the one
   // that needs this CPU.
-  const auto deadline = std::chrono::steady_clock::now() + cfg_.quantum / 10;
+  const auto deadline = std::chrono::steady_clock::now() + quantum_ / 10;
   for (unsigned w = 0; w < i; ++w) {
-    while (workers_[w]->state() == WorkerState::kPaused) {
+    while (workers_.worker_parked(w)) {
       if (st.stop_requested()) return false;
       if (std::chrono::steady_clock::now() >= deadline) return true;
       std::this_thread::yield();
@@ -108,6 +109,21 @@ unsigned ZcScheduler::choose_workers(const WindowSample& incumbent,
   consider(incumbent);
   for (const WindowSample& p : probes) consider(p);
   return best;
+}
+
+void ZcScheduler::update_backoff(std::span<ProbeBackoff> backoff,
+                                 unsigned incumbent, unsigned decision,
+                                 std::span<const WindowSample> probes) noexcept {
+  if (decision != incumbent) {
+    std::fill(backoff.begin(), backoff.end(), ProbeBackoff{});
+    return;
+  }
+  for (const WindowSample& p : probes) {
+    if (p.workers >= incumbent || p.workers >= backoff.size()) continue;
+    ProbeBackoff& b = backoff[p.workers];
+    b.skip = b.skip == 0 ? 1 : std::min(2 * b.skip, kMaxProbeSkip);
+    b.left = b.skip;
+  }
 }
 
 bool ZcScheduler::interruptible_sleep(std::chrono::microseconds d,
@@ -148,32 +164,37 @@ void ZcScheduler::main(const std::stop_token& st) {
     pin_current_thread_to_window(sim.pin_base_cpu, sim.logical_cpus);
   }
   std::size_t meter_slot = 0;
-  if (cfg_.meter != nullptr) {
-    meter_slot = cfg_.meter->register_current_thread();
-  }
+  if (meter_ != nullptr) meter_slot = meter_->register_current_thread();
 
   const std::uint64_t tes = enclave_.transitions().tes_cycles();
-  const auto micro_quantum = std::chrono::microseconds(static_cast<long>(
-      static_cast<double>(cfg_.quantum.count()) * cfg_.mu));
-  const unsigned probe_max = static_cast<unsigned>(workers_.size());
+  const auto micro_quantum = std::chrono::microseconds(
+      static_cast<long>(static_cast<double>(quantum_.count()) * mu_));
+  const unsigned probe_max = workers_.max_workers();
   std::vector<WindowSample> probes;
   probes.reserve(probe_max);
+  std::vector<ProbeBackoff> backoff(probe_max + 1);
 
   while (!st.stop_requested()) {
     // --- Scheduling phase: run the chosen configuration M for one quantum;
     // the quantum is M's sample.
     probes.clear();
-    const unsigned m = active_count_.load(std::memory_order_acquire);
+    const unsigned m =
+        workers_.active_count().load(std::memory_order_acquire);
     const WindowStart quantum = open_window(stats_);
-    if (!interruptible_sleep(cfg_.quantum, st)) break;
+    if (!interruptible_sleep(quantum_, st)) break;
     const WindowSample incumbent = close_window(stats_, quantum, m);
-    if (cfg_.meter != nullptr) cfg_.meter->checkpoint(meter_slot);
+    if (meter_ != nullptr) meter_->checkpoint(meter_slot);
 
     // --- Configuration phase: probe every other count i in 1..N/2 for µ·Q
-    // each.  Nobody is parked until the decision.
+    // each, but for the losing counts below M that are backing off.
+    // Nobody is parked until the decision.
     bool aborted = false;
     for (unsigned i = 1; i <= probe_max; ++i) {
       if (i == m) continue;
+      if (i < m && backoff[i].left > 0) {
+        --backoff[i].left;
+        continue;
+      }
       if (!probe(i, st)) {
         aborted = true;
         break;
@@ -188,12 +209,13 @@ void ZcScheduler::main(const std::stop_token& st) {
     if (aborted) break;
 
     const unsigned best = choose_workers(incumbent, probes, tes);
+    update_backoff(backoff, m, best, probes);
     last_decision_.store(best, std::memory_order_relaxed);
     config_phases_.fetch_add(1, std::memory_order_relaxed);
     set_active(best);
   }
 
-  if (cfg_.meter != nullptr) cfg_.meter->unregister_current_thread(meter_slot);
+  if (meter_ != nullptr) meter_->unregister_current_thread(meter_slot);
 }
 
 }  // namespace zc

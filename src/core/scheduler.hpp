@@ -22,12 +22,23 @@
 //  - i = 0 is never probed: every call falls back there, so u_0 = T_es
 //    while calls are arriving, and 0 when none are;
 //  - the incumbent M is scored from its own quantum (100x the probe window);
-//  - a probe parks nobody: one below M only narrows the callers' scan
+//  - a probe parks nobody: one below M only narrows the callers' claim
 //    bound, so the idle workers above it keep spinning and resuming them
 //    costs nothing.  Workers are parked only by a decision.
+//
+// Second departure: a probe below M that loses is skipped for the next 1,
+// 2, 4, ... quanta (at most kMaxProbeSkip), until the decision changes.
+// Narrowing the claim bound under a saturating load sends the calls that
+// no longer fit to the fallback path; once a quantum, that lands on the
+// callers' tail latency.  Probes above M are never skipped: they are what
+// notices a load arriving at an idle plane.
+//
+// The scheduler drives any WorkerSet: the `zc` workers (one Fig. 6 buffer
+// each) and the slotted plane's home ranges (zc_async, zc_batched).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -36,10 +47,27 @@
 #include <thread>
 #include <vector>
 
-#include "core/worker.hpp"
-#include "core/zc_config.hpp"
+#include "common/cpu_meter.hpp"
+#include "sgx/enclave.hpp"
 
 namespace zc {
+
+/// The workers a ZcScheduler drives, seen through the four things it uses.
+class WorkerSet {
+ public:
+  /// Workers in the set: the most the scheduler can run.
+  virtual unsigned max_workers() const noexcept = 0;
+  /// Commands worker `i` to serve calls (`run`) or to drain and park.
+  virtual void command_worker(unsigned i, bool run) noexcept = 0;
+  /// Whether worker `i` is parked.  A resumed worker stays parked until
+  /// its wake-up is scheduled.
+  virtual bool worker_parked(unsigned i) const noexcept = 0;
+  /// The callers' claim bound: callers use workers [0, active_count()).
+  virtual std::atomic<unsigned>& active_count() noexcept = 0;
+
+ protected:
+  ~WorkerSet() = default;
+};
 
 /// What one scheduler window observed at a fixed worker count.
 struct WindowSample {
@@ -49,16 +77,29 @@ struct WindowSample {
   std::uint64_t cycles = 0;      ///< t_i: the window's measured length
 };
 
+/// How long one probed count below the incumbent is skipped.
+struct ProbeBackoff {
+  unsigned skip = 0;  ///< quanta skipped after the latest loss (0: none)
+  unsigned left = 0;  ///< quanta still to skip before the next probe
+};
+
 class ZcScheduler {
  public:
-  /// `workers`, `stats` and `active_count` must outlive the scheduler.
-  /// `stats` is the backend's shared counter block: the scheduler samples
-  /// its switchless and fallback counters at each window boundary and
-  /// uses the differences as N_i and F_i.  `active_count` is the callers'
-  /// scan bound, published via set_active() and probe().
-  ZcScheduler(Enclave& enclave, const ZcConfig& cfg,
-              std::vector<std::unique_ptr<ZcWorker>>& workers,
-              BackendStats& stats, std::atomic<unsigned>& active_count);
+  /// The paper's quantum Q ("set empirically to 10 ms").
+  static constexpr std::chrono::microseconds kQuantum{10'000};
+  /// The paper's micro-quantum factor µ ("we empirically set µ = 1/100").
+  static constexpr double kMu = 0.01;
+  /// The longest skip of a losing probe below the incumbent, in quanta.
+  static constexpr unsigned kMaxProbeSkip = 64;
+
+  /// `workers` and `stats` must outlive the scheduler.  `stats` is the
+  /// backend's shared counter block: the scheduler samples its switchless
+  /// and fallback counters at each window boundary and uses the
+  /// differences as N_i and F_i.  Each probe lasts `mu` * `quantum`;
+  /// `meter`, when set, accounts the scheduler thread's CPU.
+  ZcScheduler(Enclave& enclave, WorkerSet& workers, BackendStats& stats,
+              CpuUsageMeter* meter = nullptr,
+              std::chrono::microseconds quantum = kQuantum, double mu = kMu);
   ~ZcScheduler();
 
   ZcScheduler(const ZcScheduler&) = delete;
@@ -68,18 +109,17 @@ class ZcScheduler {
   void stop();
 
   /// Applies a worker count: commands workers [0,m) to run and [m,max) to
-  /// pause, and publishes `m` to the callers' scan bound.  Also used
+  /// pause, and publishes `m` to the callers' claim bound.  Also used
   /// directly by tests/ablations when the feedback loop is disabled.
   void set_active(unsigned m);
 
   /// Opens a probe at `i` workers without parking any: publishes `i` to
-  /// the callers' scan bound and resumes whichever of workers [0,i) are
-  /// paused, then waits until none of them is still PAUSED, so the window
+  /// the callers' claim bound and resumes whichever of workers [0,i) are
+  /// paused, then waits until none of them is still parked, so the window
   /// that follows measures the configuration and not wake-up latency.
   /// The wait is bounded by a tenth of the quantum.  Returns false only
   /// when `st` asks to stop.
   bool probe(unsigned i, const std::stop_token& st);
-
   /// Wall-clock nanoseconds spent at each worker count since start
   /// (index = worker count).  The paper reports this distribution for the
   /// OpenSSL benchmark (§V-B: "0,1,2,3,4 workers for 9.4%, 4.6%, ...").
@@ -124,6 +164,15 @@ class ZcScheduler {
                                  std::span<const WindowSample> probes,
                                  std::uint64_t tes_cycles) noexcept;
 
+  /// The probe backoff after a decision (`backoff` is indexed by worker
+  /// count).  A decision that changed the count resets every entry.  One
+  /// that kept the incumbent means each probe below it lost: its skip
+  /// doubles (1, 2, 4, ... quanta, at most kMaxProbeSkip).  Probes above
+  /// the incumbent are never skipped.
+  static void update_backoff(std::span<ProbeBackoff> backoff,
+                             unsigned incumbent, unsigned decision,
+                             std::span<const WindowSample> probes) noexcept;
+
  private:
   void main(const std::stop_token& st);
   bool interruptible_sleep(std::chrono::microseconds d,
@@ -132,10 +181,11 @@ class ZcScheduler {
   void note_occupancy_change(unsigned new_count);
 
   Enclave& enclave_;
-  const ZcConfig& cfg_;
-  std::vector<std::unique_ptr<ZcWorker>>& workers_;
+  WorkerSet& workers_;
   BackendStats& stats_;
-  std::atomic<unsigned>& active_count_;
+  CpuUsageMeter* const meter_;
+  const std::chrono::microseconds quantum_;
+  const double mu_;
 
   std::atomic<std::uint64_t> config_phases_{0};
   std::atomic<unsigned> last_decision_{0};

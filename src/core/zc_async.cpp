@@ -105,6 +105,8 @@ ZcAsyncBackend::ZcAsyncBackend(Enclave& enclave, ZcAsyncConfig cfg,
     for (unsigned s = w->lo; s < w->hi; ++s) slots_[s]->owner = i;
     workers_.push_back(std::move(w));
   }
+  scheduler_ = std::make_unique<ZcScheduler>(enclave_, *this, stats_,
+                                             cfg_.meter);
 }
 
 ZcAsyncBackend::~ZcAsyncBackend() { stop(); }
@@ -117,10 +119,14 @@ void ZcAsyncBackend::start() {
   }
   active_count_.store(static_cast<unsigned>(workers_.size()),
                       std::memory_order_release);
+  if (cfg_.scheduler_enabled) scheduler_->start();
 }
 
 void ZcAsyncBackend::stop() {
   if (!running_.exchange(false)) return;
+  // The scheduler goes first, so no decision or probe lands after the
+  // claim bound closes and the workers' exit commands.
+  scheduler_->stop();
   active_count_.store(0, std::memory_order_release);
   for (auto& w : workers_) {
     w->cmd.store(WorkerCmd::kExit, std::memory_order_seq_cst);
@@ -131,31 +137,29 @@ void ZcAsyncBackend::stop() {
 
 void ZcAsyncBackend::set_active_workers(unsigned m) {
   if (!running_.load(std::memory_order_relaxed)) return;
-  const auto max = static_cast<unsigned>(workers_.size());
-  if (m > max) m = max;
-  // Publish the claim bound first so no new call lands in a range whose
-  // worker is about to pause; pausing workers drain their ranges first.
-  active_count_.store(m, std::memory_order_release);
-  for (unsigned i = 0; i < max; ++i) {
-    Worker& w = *workers_[i];
-    // kExit is terminal: a churn thread racing stop() must never overwrite
-    // it, or the worker would park/run forever and stop()'s join would
-    // hang.  CAS from any non-exit command only.
-    const WorkerCmd desired = i < m ? WorkerCmd::kRun : WorkerCmd::kPause;
-    WorkerCmd cur = w.cmd.load(std::memory_order_seq_cst);
-    bool changed = false;
-    while (cur != WorkerCmd::kExit && cur != desired) {
-      if (w.cmd.compare_exchange_weak(cur, desired,
-                                      std::memory_order_seq_cst)) {
-        changed = true;
-        break;
-      }
+  // The scheduler publishes the claim bound first, so no new call lands in
+  // a range whose worker is about to pause; pausing workers drain their
+  // ranges first.
+  scheduler_->set_active(m);
+}
+
+void ZcAsyncBackend::command_worker(unsigned i, bool run) noexcept {
+  Worker& w = *workers_[i];
+  // kExit is terminal: a churn thread racing stop() must never overwrite
+  // it, or the worker would park/run forever and stop()'s join would
+  // hang.  CAS from any non-exit command only.
+  const WorkerCmd desired = run ? WorkerCmd::kRun : WorkerCmd::kPause;
+  WorkerCmd cur = w.cmd.load(std::memory_order_seq_cst);
+  while (cur != WorkerCmd::kExit && cur != desired) {
+    if (w.cmd.compare_exchange_weak(cur, desired,
+                                    std::memory_order_seq_cst)) {
+      // Only an actual command transition needs the worker's attention: a
+      // no-change command (scheduler probes re-applying the same count)
+      // must not turn hot-swap churn into a spurious-wake storm.  The
+      // churn stress test pins this via worker_wakeups.
+      wake(w);
+      return;
     }
-    // Only an actual command transition needs the worker's attention: a
-    // no-change call (scheduler probes re-applying the same count) must
-    // not turn hot-swap churn into a spurious-wake storm.  The churn
-    // stress test pins this via worker_wakeups.
-    if (changed) wake(w);
   }
 }
 
@@ -167,11 +171,12 @@ void ZcAsyncBackend::execute_regular(const CallDesc& desc) {
   }
 }
 
-CallFuture ZcAsyncBackend::inline_fallback(const CallDesc& desc) {
+CallFuture ZcAsyncBackend::inline_fallback(const CallDesc& desc,
+                                           Refusal why) {
   execute_regular(desc);
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
-  stats_.fallback_calls.add();
+  stats_.count_fallback(why);
   return CallFuture(CallPath::kFallback);
 }
 
@@ -201,17 +206,17 @@ std::uint32_t ZcAsyncBackend::claim(unsigned m) {
   return FutureHandle::kInline;
 }
 
-bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
-  if (!running_.load(std::memory_order_relaxed)) return false;
+Refusal ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
+  if (!running_.load(std::memory_order_relaxed)) return Refusal::kNoWorker;
 
   const unsigned m = active_count_.load(std::memory_order_acquire);
-  if (m == 0) return false;
+  if (m == 0) return Refusal::kNoWorker;
 
   // No free slot in any active range: immediate refusal, as in plain ZC
   // (§IV-C) — the caller decides what a refusal means (submit falls back
   // inline; a steal probe tries elsewhere).
   const std::uint32_t index = claim(m);
-  if (index == FutureHandle::kInline) return false;
+  if (index == FutureHandle::kInline) return Refusal::kBusy;
   Slot* slot = slots_[index].get();
   Worker& range = *workers_[slot->owner];
 
@@ -227,7 +232,7 @@ bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   if (mem == nullptr) {
     // Request larger than the slot pool: cannot go switchless.
     slot->state.store(SlotState::kFree, std::memory_order_release);
-    return false;
+    return Refusal::kOversize;
   }
 
   // The gauge covers publish through release: occupied table slots are
@@ -259,7 +264,7 @@ bool ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
       execute_slot(*slot);
     }
   }
-  return true;
+  return Refusal::kNone;
 }
 
 CallFuture ZcAsyncBackend::submit(const CallDesc& desc) {
@@ -271,7 +276,8 @@ CallFuture ZcAsyncBackend::submit(const CallDesc& desc) {
     return CallFuture(CallPath::kRegular);
   }
   FutureHandle handle;
-  if (!try_submit(desc, handle)) return inline_fallback(desc);
+  const Refusal why = try_submit(desc, handle);
+  if (why != Refusal::kNone) return inline_fallback(desc, why);
   return CallFuture(this, handle);
 }
 
@@ -282,7 +288,7 @@ CallPath ZcAsyncBackend::invoke(const CallDesc& desc) {
 
 bool ZcAsyncBackend::try_invoke_switchless(const CallDesc& desc) {
   FutureHandle handle;
-  if (!try_submit(desc, handle)) return false;
+  if (try_submit(desc, handle) != Refusal::kNone) return false;
   collect(handle);
   return true;
 }

@@ -75,6 +75,13 @@
 // or spun for (paper §IV-C).  Workers can be paused (set_active_workers):
 // a paused worker's range takes no new claims, the worker drains it and
 // parks, and only a publish that raced the pause into its range wakes it.
+//
+// The configless scheduler (ZcScheduler, paper §IV-A, Q = 10 ms, µ = 0.01)
+// drives the plane as a WorkerSet: `workers` is the maximum, all of them
+// start active, and each decision pauses or resumes whole ranges through
+// the pause path above.  A probe below the incumbent only narrows the
+// callers' claim bound; one above resumes parked workers and waits until
+// they leave the park.  scheduler_enabled=false keeps every worker active.
 #pragma once
 
 #include <atomic>
@@ -91,12 +98,14 @@
 #include "common/completion_gate.hpp"
 #include "common/cpu_meter.hpp"
 #include "common/pool.hpp"
+#include "core/scheduler.hpp"
 #include "sgx/enclave.hpp"
 
 namespace zc {
 
 struct ZcAsyncConfig {
-  unsigned workers = 2;  ///< workers, each owning one home range (> 0)
+  /// Workers, each owning one home range (> 0): the scheduler's maximum.
+  unsigned workers = 2;
   unsigned queue = 32;   ///< completion-table slots == max in-flight (> 0)
   /// Queued calls in one range that open its flush gate (> 0).  1 runs
   /// every call on publish; more makes callers wait for a batch.
@@ -121,6 +130,9 @@ struct ZcAsyncConfig {
   FramePoolKind pool = FramePoolKind::kBump;
   /// copy=single advertises the in-place payload path (see marshal.hpp).
   CopyMode copy = CopyMode::kDouble;
+  /// Run the configless scheduler over the workers; false keeps all of
+  /// them active (`scheduler=off`).
+  bool scheduler_enabled = true;
   CpuUsageMeter* meter = nullptr;
   CallDirection direction = CallDirection::kOcall;
 };
@@ -200,7 +212,7 @@ class CallFuture {
   bool pending_ = false;  ///< slot-backed and not yet collected
 };
 
-class ZcAsyncBackend final : public CallBackend {
+class ZcAsyncBackend final : public CallBackend, public WorkerSet {
  public:
   /// `key` is the registry key the plane is built under; name() reports
   /// it (with an "-ecall" suffix on the trusted-function plane).
@@ -227,9 +239,22 @@ class ZcAsyncBackend final : public CallBackend {
     return active_count_.load(std::memory_order_acquire);
   }
 
-  unsigned max_workers() const noexcept {
+  // --- WorkerSet: what the scheduler drives -------------------------------
+  unsigned max_workers() const noexcept override {
     return static_cast<unsigned>(workers_.size());
   }
+  /// Runs worker `i`, or pauses it: it drains its range, then parks.
+  void command_worker(unsigned i, bool run) noexcept override;
+  bool worker_parked(unsigned i) const noexcept override {
+    return workers_[i]->parked.load(std::memory_order_seq_cst);
+  }
+  std::atomic<unsigned>& active_count() noexcept override {
+    return active_count_;
+  }
+
+  /// The feedback scheduler (its loop runs between start() and stop()
+  /// when scheduler_enabled).
+  ZcScheduler* scheduler() noexcept { return scheduler_.get(); }
 
   /// Test hook: plants the home-range dealer (wraparound regression tests
   /// start it just below the old 32-bit boundary).
@@ -253,7 +278,8 @@ class ZcAsyncBackend final : public CallBackend {
 
   /// Pauses workers [m, max) and runs [0, m); submitters only claim slots
   /// in the ranges of running workers.  A pausing worker drains its range
-  /// before parking, so no in-flight future is stranded.
+  /// before parking, so no in-flight future is stranded.  A running
+  /// scheduler overrides the count at its next decision.
   void set_active_workers(unsigned m) override;
 
   const ZcAsyncConfig& config() const noexcept { return cfg_; }
@@ -338,10 +364,10 @@ class ZcAsyncBackend final : public CallBackend {
   void execute_slot(Slot& slot);
   void release_slot(Slot& slot);
   void execute_regular(const CallDesc& desc);
-  CallFuture inline_fallback(const CallDesc& desc);
-  /// Claim + publish without any fallback; false when the table/frame/
-  /// worker situation refuses the call (no side effects then).
-  bool try_submit(const CallDesc& desc, FutureHandle& out);
+  CallFuture inline_fallback(const CallDesc& desc, Refusal why);
+  /// Claim + publish without any fallback; why the table/frame/worker
+  /// situation refused the call (no side effects then), or kNone.
+  Refusal try_submit(const CallDesc& desc, FutureHandle& out);
   /// Claims a free slot in the active ranges [0, m) in the calling
   /// thread's cursor order; its index, or kInline when all are taken.
   std::uint32_t claim(unsigned m);
@@ -368,6 +394,8 @@ class ZcAsyncBackend final : public CallBackend {
   /// regression tests pin the behaviour at that boundary.
   std::atomic<std::uint64_t> ticket_{0};
   std::atomic<bool> running_{false};
+  /// Drives the ranges as a WorkerSet (built after them).
+  std::unique_ptr<ZcScheduler> scheduler_;
 };
 
 std::unique_ptr<ZcAsyncBackend> make_zc_async_backend(

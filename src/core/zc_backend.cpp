@@ -27,8 +27,8 @@ ZcBackend::ZcBackend(Enclave& enclave, ZcConfig cfg)
     workers_.push_back(
         std::make_unique<ZcWorker>(enclave_, cfg_, stats_, i));
   }
-  scheduler_ = std::make_unique<ZcScheduler>(enclave_, cfg_, workers_, stats_,
-                                             active_count_);
+  scheduler_ = std::make_unique<ZcScheduler>(enclave_, *this, stats_,
+                                             cfg_.meter, cfg_.quantum, cfg_.mu);
 }
 
 ZcBackend::~ZcBackend() { stop(); }
@@ -52,6 +52,14 @@ void ZcBackend::stop() {
 
 void ZcBackend::set_active_workers(unsigned m) { scheduler_->set_active(m); }
 
+void ZcBackend::command_worker(unsigned i, bool run) noexcept {
+  workers_[i]->command(run ? SchedCmd::kRun : SchedCmd::kPause);
+}
+
+bool ZcBackend::worker_parked(unsigned i) const noexcept {
+  return workers_[i]->state() == WorkerState::kPaused;
+}
+
 std::vector<std::uint64_t> ZcBackend::per_worker_served() const {
   std::vector<std::uint64_t> out;
   out.reserve(workers_.size());
@@ -71,11 +79,7 @@ CallPath ZcBackend::fallback(const CallDesc& desc, Refusal why) {
   execute_regular(desc);
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
-  PaddedCounter& reason = why == Refusal::kBusy       ? stats_.fallback_busy
-                          : why == Refusal::kOversize ? stats_.fallback_oversize
-                                                      : stats_.fallback_no_worker;
-  reason.add();
-  stats_.fallback_calls.add();
+  stats_.count_fallback(why);
   return CallPath::kFallback;
 }
 
@@ -83,7 +87,7 @@ bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
   return try_switchless(desc) == Refusal::kNone;
 }
 
-ZcBackend::Refusal ZcBackend::try_switchless(const CallDesc& desc) {
+Refusal ZcBackend::try_switchless(const CallDesc& desc) {
   if (!running_.load(std::memory_order_relaxed)) return Refusal::kNoWorker;
 
   // Switchless-call selection (§IV-C): run switchlessly iff an idle worker

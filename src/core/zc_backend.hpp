@@ -20,7 +20,7 @@
 
 namespace zc {
 
-class ZcBackend final : public CallBackend {
+class ZcBackend final : public CallBackend, public WorkerSet {
  public:
   ZcBackend(Enclave& enclave, ZcConfig cfg);
   ~ZcBackend() override;
@@ -46,8 +46,14 @@ class ZcBackend final : public CallBackend {
     return active_count_.load(std::memory_order_acquire);
   }
 
-  unsigned max_workers() const noexcept {
+  // --- WorkerSet: what the scheduler drives -------------------------------
+  unsigned max_workers() const noexcept override {
     return static_cast<unsigned>(workers_.size());
+  }
+  void command_worker(unsigned i, bool run) noexcept override;
+  bool worker_parked(unsigned i) const noexcept override;
+  std::atomic<unsigned>& active_count() noexcept override {
+    return active_count_;
   }
 
   /// Manually applies a worker count (tests / scheduler-off ablations).
@@ -68,9 +74,6 @@ class ZcBackend final : public CallBackend {
   std::vector<std::uint64_t> per_worker_served() const;
 
  private:
-  /// Why a switchless attempt was refused (kNone: the call was served).
-  enum class Refusal { kNone, kNoWorker, kBusy, kOversize };
-
   Refusal try_switchless(const CallDesc& desc);
   void execute_regular(const CallDesc& desc);
   CallPath fallback(const CallDesc& desc, Refusal why);

@@ -11,17 +11,18 @@
 
 #include "common/completion_gate.hpp"
 #include "common/cpu_meter.hpp"
+#include "core/scheduler.hpp"
 #include "sgx/backend.hpp"
 
 namespace zc {
 
 struct ZcConfig {
   /// Scheduler quantum Q ("set empirically to 10 ms").
-  std::chrono::microseconds quantum{10'000};
+  std::chrono::microseconds quantum = ZcScheduler::kQuantum;
 
   /// Micro-quantum factor µ ("we empirically set µ = 1/100"): each probe of
   /// the configuration phase lasts µ·Q.
-  double mu = 0.01;
+  double mu = ZcScheduler::kMu;
 
   /// Upper bound on worker threads. 0 means logical_cpus / 2, the paper's
   /// range (the scheduler decides among 0..N/2 inclusive).

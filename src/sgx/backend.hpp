@@ -51,13 +51,21 @@ const char* to_string(CopyMode mode) noexcept;
 
 struct BackendStatsSnapshot;
 
+/// Why a switchless plane refused a call (kNone: it took the call).
+enum class Refusal : std::uint8_t {
+  kNone,
+  kNoWorker,  ///< no active worker (scheduler: m=0), or stopped
+  kBusy,      ///< every active worker (slotted: every active range) was busy
+  kOversize,  ///< frame larger than the worker or slot pool
+};
+
 /// Counters shared by all backends (padded; updated from many threads).
 struct BackendStats {
   PaddedCounter regular_calls;     ///< calls that took the regular path
   PaddedCounter switchless_calls;  ///< calls served by a worker
   PaddedCounter fallback_calls;    ///< switchless attempts that fell back
-  // Why a zc call fell back (the other planes leave these at 0); on a zc
-  // backend the three add up to fallback_calls.
+  // Why a zc or slotted-plane call fell back (the other planes leave these
+  // at 0); there the three add up to fallback_calls (count_fallback).
   PaddedCounter fallback_no_worker;  ///< no active worker (scheduler: m=0)
   PaddedCounter fallback_busy;       ///< every active worker was busy
   PaddedCounter fallback_oversize;   ///< frame larger than the worker pool
@@ -91,6 +99,15 @@ struct BackendStats {
   std::uint64_t total_calls() const noexcept {
     return regular_calls.load() + switchless_calls.load() +
            fallback_calls.load();
+  }
+
+  /// Counts one fallback and its reason (`why` != kNone).
+  void count_fallback(Refusal why) noexcept {
+    PaddedCounter& reason = why == Refusal::kBusy       ? fallback_busy
+                            : why == Refusal::kOversize ? fallback_oversize
+                                                        : fallback_no_worker;
+    reason.add();
+    fallback_calls.add();
   }
 
   /// Point-in-time copy of every counter (plain integers, mergeable).

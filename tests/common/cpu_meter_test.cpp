@@ -50,7 +50,7 @@ TEST(ProcStat, SamplesLiveSystem) {
 TEST(ThreadCpu, AdvancesUnderLoad) {
   const std::uint64_t before = thread_cpu_ns();
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 20'000'000; ++i) sink += i;
+  for (std::uint64_t i = 0; i < 20'000'000; ++i) sink = sink + i;
   const std::uint64_t after = thread_cpu_ns();
   EXPECT_GT(after, before);
 }
@@ -71,7 +71,7 @@ TEST(CpuUsageMeter, FreshRegistrationContributesNothing) {
   meter.begin_window();
   // Register after burning CPU: pre-existing time must not count.
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 10'000'000; ++i) sink += i;
+  for (std::uint64_t i = 0; i < 10'000'000; ++i) sink = sink + i;
   const auto slot = meter.register_current_thread();
   meter.checkpoint(slot);
   // Small slack: the register->checkpoint gap itself burns a sliver of CPU
@@ -120,7 +120,7 @@ TEST(CpuUsageMeter, NormalisesBySimulatedWidth) {
   meter.begin_window();
   const std::uint64_t start = wall_ns();
   volatile std::uint64_t sink = 0;
-  while (wall_ns() - start < 50'000'000) sink += 1;
+  while (wall_ns() - start < 50'000'000) sink = sink + 1;
   meter.checkpoint(slot);
   // One busy thread on an 8-wide machine: ~12.5%.
   const double pct = meter.window_usage_percent();
@@ -154,7 +154,7 @@ TEST(CpuUsageMeter, WindowResetsBase) {
   CpuUsageMeter meter(1);
   const auto slot = meter.register_current_thread();
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 10'000'000; ++i) sink += i;
+  for (std::uint64_t i = 0; i < 10'000'000; ++i) sink = sink + i;
   meter.checkpoint(slot);
   meter.begin_window();
   meter.checkpoint(slot);

@@ -561,11 +561,12 @@ TEST_F(BackendRegistryTest, SlottedPlaneKeysKeepTheirOptionLists) {
   auto& registry = BackendRegistry::instance();
   const std::pair<const char*, std::vector<const char*>> keys[] = {
       {"zc_batched",
-       {"workers=1", "batch=2", "flush_us=50", "spin_us=5", "wait=futex",
-        "pool_bytes=4096", "pool=slab", "copy=single", "direction=ocall"}},
+       {"workers=1", "scheduler=off", "batch=2", "flush_us=50", "spin_us=5",
+        "wait=futex", "pool_bytes=4096", "pool=slab", "copy=single",
+        "direction=ocall"}},
       {"zc_async",
-       {"workers=1", "queue=4", "pool_bytes=4096", "pool=slab",
-        "copy=single", "wait=futex", "direction=ocall"}},
+       {"workers=1", "scheduler=off", "queue=4", "pool_bytes=4096",
+        "pool=slab", "copy=single", "wait=futex", "direction=ocall"}},
   };
   for (const auto& [key, options] : keys) {
     std::string all = std::string(key) + ":";
@@ -614,6 +615,15 @@ TEST_F(BackendRegistryTest, SlottedPlaneKeysKeepTheirOptionLists) {
   EXPECT_EQ(a.batch, 1u);
   EXPECT_EQ(a.spin.count(), 1);
   EXPECT_EQ(a.wait, GateWaitPolicy::kCondvar);
+  // Both keys run the configless scheduler with workers= as its maximum,
+  // spelled as on zc.
+  EXPECT_TRUE(b.scheduler_enabled);
+  EXPECT_TRUE(a.scheduler_enabled);
+  EXPECT_EQ(dynamic_cast<ZcAsyncBackend&>(*async).max_workers(), 3u);
+  EXPECT_FALSE(dynamic_cast<ZcAsyncBackend&>(
+                   *registry.create(*enclave_, "zc_async:scheduler=off"))
+                   .config()
+                   .scheduler_enabled);
 
   // Both keys name the trusted-function plane too.
   EXPECT_STREQ(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <numeric>
@@ -125,6 +126,73 @@ TEST(ChooseWorkers, IncumbentScoredFromItsOwnQuantum) {
                 {2, 200, 0, kWindow},
                 std::vector<WindowSample>{{1, 100, 0, kWindow}}, kTes),
             1u);
+}
+
+// The backoff of probes below the incumbent, as a pure function.
+std::vector<ProbeBackoff> decide(std::vector<ProbeBackoff> backoff,
+                                 unsigned incumbent, unsigned decision,
+                                 std::vector<WindowSample> probes) {
+  ZcScheduler::update_backoff(backoff, incumbent, decision, probes);
+  return backoff;
+}
+
+TEST(ProbeBackoff, LossDoublesTheSkipUpToTheCap) {
+  std::vector<ProbeBackoff> b(3);
+  const std::vector<WindowSample> lost = {{1, 40, 10, kWindow}};
+  unsigned expected = 1;
+  for (int round = 0; round < 10; ++round) {
+    b = decide(b, 2, 2, lost);
+    EXPECT_EQ(b[1].skip, expected) << round;
+    EXPECT_EQ(b[1].left, expected) << round;
+    expected = std::min(2 * expected, ZcScheduler::kMaxProbeSkip);
+  }
+  EXPECT_EQ(b[1].skip, ZcScheduler::kMaxProbeSkip);
+  // Neither the incumbent nor a count that was not probed moves.
+  EXPECT_EQ(b[2].skip, 0u);
+  b[1].left = 0;
+  b = decide(b, 2, 2, {});
+  EXPECT_EQ(b[1].skip, ZcScheduler::kMaxProbeSkip);
+  EXPECT_EQ(b[1].left, 0u);
+}
+
+TEST(ProbeBackoff, ProbesAboveTheIncumbentNeverBackOff) {
+  std::vector<ProbeBackoff> b(4);
+  b = decide(b, 1, 1, {{2, 5, 0, kWindow}, {3, 5, 0, kWindow}});
+  for (const ProbeBackoff& e : b) {
+    EXPECT_EQ(e.skip, 0u);
+    EXPECT_EQ(e.left, 0u);
+  }
+}
+
+TEST(ProbeBackoff, AWinResetsTheSkip) {
+  std::vector<ProbeBackoff> b(3);
+  for (int round = 0; round < 4; ++round) {
+    b = decide(b, 2, 2, {{1, 40, 10, kWindow}});
+  }
+  ASSERT_EQ(b[1].skip, 8u);
+  b = decide(b, 2, 1, {{1, 40, 0, kWindow}});  // the probe at 1 won
+  EXPECT_EQ(b[1].skip, 0u);
+  EXPECT_EQ(b[1].left, 0u);
+}
+
+TEST(ProbeBackoff, ADecisionChangeResetsEveryCount) {
+  std::vector<ProbeBackoff> b(5);
+  const std::vector<WindowSample> lost = {{1, 40, 10, kWindow},
+                                          {2, 40, 5, kWindow}};
+  for (int round = 0; round < 3; ++round) b = decide(b, 3, 3, lost);
+  ASSERT_EQ(b[1].skip, 4u);
+  ASSERT_EQ(b[2].skip, 4u);
+  // A probe above the incumbent won: every count starts over.
+  b = decide(b, 3, 4, {{4, 40, 0, kWindow}});
+  for (const ProbeBackoff& e : b) {
+    EXPECT_EQ(e.skip, 0u);
+    EXPECT_EQ(e.left, 0u);
+  }
+  // So does an idle decision, which no probe wins.
+  for (int round = 0; round < 3; ++round) b = decide(b, 3, 3, lost);
+  b = decide(b, 3, 0, {});
+  EXPECT_EQ(b[1].skip, 0u);
+  EXPECT_EQ(b[2].skip, 0u);
 }
 
 class SchedulerTest : public ::testing::Test {
@@ -261,8 +329,19 @@ TEST_F(SchedulerTest, DisabledSchedulerNeverChangesWorkers) {
 
 // The probe plane on its own: workers and a scheduler whose feedback loop
 // never starts, driven by hand.
-class ProbeTest : public ::testing::Test {
+class ProbeTest : public ::testing::Test, public WorkerSet {
  protected:
+  unsigned max_workers() const noexcept override {
+    return static_cast<unsigned>(workers_.size());
+  }
+  void command_worker(unsigned i, bool run) noexcept override {
+    workers_[i]->command(run ? SchedCmd::kRun : SchedCmd::kPause);
+  }
+  bool worker_parked(unsigned i) const noexcept override {
+    return workers_[i]->state() == WorkerState::kPaused;
+  }
+  std::atomic<unsigned>& active_count() noexcept override { return active_; }
+
   void SetUp() override {
     SimConfig sim;
     sim.tes_cycles = 2'000;
@@ -274,8 +353,8 @@ class ProbeTest : public ::testing::Test {
       workers_.push_back(std::make_unique<ZcWorker>(*enclave_, cfg_, stats_, i));
       workers_.back()->start();
     }
-    scheduler_ = std::make_unique<ZcScheduler>(*enclave_, cfg_, workers_,
-                                               stats_, active_);
+    scheduler_ = std::make_unique<ZcScheduler>(*enclave_, *this, stats_,
+                                               nullptr, cfg_.quantum);
   }
 
   bool all_paused(std::chrono::milliseconds timeout = 2000ms) {

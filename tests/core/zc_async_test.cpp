@@ -24,6 +24,15 @@ struct EchoArgs {
   std::uint64_t out = 0;
 };
 
+// A plane whose worker count stays where the test puts it.  Most tests
+// below pin switchless paths, home ranges, wakeups or flush counts, which a
+// scheduler decision (an idle plane parks every worker) would change.
+ZcAsyncConfig fixed_workers() {
+  ZcAsyncConfig cfg;
+  cfg.scheduler_enabled = false;
+  return cfg;
+}
+
 class ZcAsyncTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -80,7 +89,7 @@ class ZcAsyncTest : public ::testing::Test {
 };
 
 TEST_F(ZcAsyncTest, SynchronousInvokeIsSubmitPlusWait) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -94,7 +103,7 @@ TEST_F(ZcAsyncTest, SynchronousInvokeIsSubmitPlusWait) {
 }
 
 TEST_F(ZcAsyncTest, SubmitWaitRoundTripWithPayload) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -131,7 +140,7 @@ TEST_F(ZcAsyncTest, OutOfOrderCompletionResolvesTheRightFutures) {
   // Two workers: the gated call holds one while the echo call finishes on
   // the other — the *second* submission completes first, and each future
   // still resolves to its own call's results.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -154,7 +163,7 @@ TEST_F(ZcAsyncTest, OutOfOrderCompletionResolvesTheRightFutures) {
 }
 
 TEST_F(ZcAsyncTest, WaitingInReverseSubmissionOrderIsCorrect) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 16;
   auto* backend = install(cfg);
@@ -178,7 +187,7 @@ TEST_F(ZcAsyncTest, GenerationCounterProtectsAgainstSlotReuseAba) {
   // queue=1 forces the second call into the first call's slot.  The stale
   // handle (old generation) must read as completed and never reflect the
   // live call now occupying the slot.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 1;
   auto* backend = install(cfg);
@@ -213,7 +222,7 @@ TEST_F(ZcAsyncTest, GenerationCounterProtectsAgainstSlotReuseAba) {
 }
 
 TEST_F(ZcAsyncTest, DoubleWaitIsIdempotent) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 2;
   auto* backend = install(cfg);
@@ -236,7 +245,7 @@ TEST_F(ZcAsyncTest, DoubleWaitIsIdempotent) {
 }
 
 TEST_F(ZcAsyncTest, DroppedFutureStillExecutesAndReleasesItsSlot) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 1;
   auto* backend = install(cfg);
@@ -275,7 +284,7 @@ TEST_F(ZcAsyncTest, DropAfterCompletionThenReuseServesTheSuccessor) {
   // be served normally — a stale abandon mark or a worker's late reclaim
   // must never touch the successor (the generation checks in
   // execute_slot/abandon).
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 1;
   auto* backend = install(cfg);
@@ -307,7 +316,7 @@ TEST_F(ZcAsyncTest, QueueFullBackpressureFallsBackInline) {
   // One slot, held in flight by the gated call: the next submission finds
   // the table full and completes inline as a fallback — never queued
   // without a slot, never lost, never spinning.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 1;
   auto* backend = install(cfg);
@@ -332,7 +341,7 @@ TEST_F(ZcAsyncTest, QueueFullBackpressureFallsBackInline) {
 }
 
 TEST_F(ZcAsyncTest, NoActiveWorkersFallsBackAndResumeRestoresService) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -353,6 +362,7 @@ TEST_F(ZcAsyncTest, NoActiveWorkersFallsBackAndResumeRestoresService) {
 }
 
 TEST_F(ZcAsyncTest, PauseResumeChurnWithInFlightFuturesLosesNothing) {
+  // The scheduler runs too: its probes and decisions race the churn.
   ZcAsyncConfig cfg;
   cfg.workers = 2;
   cfg.queue = 8;
@@ -392,7 +402,7 @@ TEST_F(ZcAsyncTest, PauseResumeChurnWithInFlightFuturesLosesNothing) {
 }
 
 TEST_F(ZcAsyncTest, StopDrainsInFlightFutures) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto backend = make_zc_async_backend(*enclave_, cfg);
@@ -429,7 +439,7 @@ TEST_F(ZcAsyncTest, EcallDirectionServesTrustedFunctions) {
         auto* a = static_cast<EchoArgs*>(call.args);
         a->out = a->in * a->in;
       });
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 4;
   cfg.direction = CallDirection::kEcall;
@@ -450,7 +460,7 @@ class ZcAsyncPlaneTest : public ZcAsyncTest,
                          public ::testing::WithParamInterface<GateWaitPolicy> {
  protected:
   ZcAsyncConfig plane_config() {
-    ZcAsyncConfig cfg;
+    ZcAsyncConfig cfg = fixed_workers();
     cfg.wait = GetParam();
     return cfg;
   }
@@ -496,6 +506,7 @@ TEST_P(ZcAsyncPlaneTest, OutOfOrderCompletionResolvesTheRightFutures) {
 
 TEST_P(ZcAsyncPlaneTest, PauseResumeChurnWithInFlightFuturesLosesNothing) {
   ZcAsyncConfig cfg = plane_config();
+  cfg.scheduler_enabled = true;
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -544,7 +555,7 @@ TEST_F(ZcAsyncTest, TicketCounterSurvivesThe32BitBoundary) {
   // Regression: ticket_ was a 32-bit fetch_add.  It now deals each thread
   // its home range on the thread's first claim; plant it just below 2^32
   // and deal enough fresh threads to cross the boundary.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -565,7 +576,7 @@ TEST_F(ZcAsyncTest, TicketCounterSurvivesThe32BitBoundary) {
 }
 
 TEST_F(ZcAsyncTest, RedundantSetActiveWorkersWakesNobody) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -592,7 +603,7 @@ TEST_F(ZcAsyncTest, SubmitsNeverWakeAPausedWorker) {
   // a paused worker then drained, parked again and never freed its CPU.
   // Paused ranges take no claims, so a submit wakes only its own range's
   // worker, and only when that worker is parked.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -616,7 +627,7 @@ TEST_F(ZcAsyncTest, SubmitsNeverWakeAPausedWorker) {
 TEST_F(ZcAsyncTest, EveryCompletingSweepCountsOneFlush) {
   // batch=1: each sweep that completes calls is one flush, counted once
   // even when both workers race on a range.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -637,7 +648,7 @@ TEST_F(ZcAsyncTest, BlockedOwnerIsHelpedByAnIdleWorker) {
   // Both calls land in the caller's home range; the gated one holds the
   // range's owner.  The other running worker, whose own range is idle,
   // must take the echo call, and it counts as switchless.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -693,7 +704,7 @@ TEST_F(ZcAsyncTest, BlockedOwnerIsHelpedByABusyWorkerOnceTheWindowPasses) {
         }
         a->out = a->in + 1;
       });
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -762,7 +773,7 @@ TEST_F(ZcAsyncTest, BlockedOwnerIsHelpedByABusyWorkerOnceTheWindowPasses) {
 }
 
 TEST_F(ZcAsyncTest, SequentialCallerReusesTheSlotItsLastCollectFreed) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -782,7 +793,7 @@ TEST_F(ZcAsyncTest, SequentialCallerReusesTheSlotItsLastCollectFreed) {
 TEST_F(ZcAsyncTest, PipelinedCallersStayInTheirHomeRanges) {
   // Two callers, four futures each, on two 4-slot ranges: each keeps to
   // its own home range, and the two homes differ.
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 8;
   auto* backend = install(cfg);
@@ -824,7 +835,7 @@ TEST_F(ZcAsyncTest, ACursorNeverOutlivesItsBackend) {
   // must not inherit this thread's cursor: every claim on the 4-slot
   // successor stays in its table.
   {
-    ZcAsyncConfig cfg;
+    ZcAsyncConfig cfg = fixed_workers();
     cfg.workers = 2;
     cfg.queue = 16;
     auto backend = make_zc_async_backend(*enclave_, cfg);
@@ -839,7 +850,7 @@ TEST_F(ZcAsyncTest, ACursorNeverOutlivesItsBackend) {
     backend->stop();
   }
 
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 2;
   cfg.queue = 4;
   auto* backend = install(cfg);
@@ -856,7 +867,7 @@ TEST_F(ZcAsyncTest, ACursorNeverOutlivesItsBackend) {
 TEST_F(ZcAsyncTest, OneThreadAlternatingBetweenTwoBackendsStaysCorrect) {
   // The sharded router's steal probes drive several planes from one
   // thread: each keeps its own cursor, so claims stay in the right table.
-  ZcAsyncConfig big;
+  ZcAsyncConfig big = fixed_workers();
   big.workers = 2;
   big.queue = 16;
   ZcAsyncConfig small = big;
@@ -907,7 +918,7 @@ TEST_F(ZcAsyncTest, NeverStartedBackendExecutesRegularly) {
 }
 
 TEST_F(ZcAsyncTest, OversizedRequestFallsBack) {
-  ZcAsyncConfig cfg;
+  ZcAsyncConfig cfg = fixed_workers();
   cfg.workers = 1;
   cfg.queue = 2;
   cfg.slot_pool_bytes = 256;
@@ -923,6 +934,222 @@ TEST_F(ZcAsyncTest, OversizedRequestFallsBack) {
   EXPECT_EQ(future.handle().slot, FutureHandle::kInline);
   EXPECT_EQ(future.wait(), CallPath::kFallback);
   EXPECT_EQ(args.out, 2u);
+}
+
+TEST_F(ZcAsyncTest, FallbackReasonsSumToFallbackCalls) {
+  // One refusal of each kind: the table full (busy), no active worker, and
+  // a frame larger than its slot pool.
+  ZcAsyncConfig cfg = fixed_workers();
+  cfg.workers = 1;
+  cfg.queue = 1;
+  cfg.slot_pool_bytes = 256;
+  auto* backend = install(cfg);
+
+  EchoArgs held;
+  CallFuture held_future = backend->submit(gated_desc(held));
+  ASSERT_NE(held_future.handle().slot, FutureHandle::kInline);
+  EchoArgs busy;
+  EXPECT_EQ(backend->submit(echo_desc(busy)).wait(), CallPath::kFallback);
+  gate_.store(true, std::memory_order_release);
+  held_future.wait();
+
+  std::vector<std::uint8_t> payload(4'096, 0xAB);
+  EchoArgs big;
+  CallDesc desc = echo_desc(big);
+  desc.in_payload = payload.data();
+  desc.in_size = payload.size();
+  EXPECT_EQ(backend->submit(desc).wait(), CallPath::kFallback);
+
+  backend->set_active_workers(0);
+  EchoArgs idle;
+  EXPECT_EQ(backend->submit(echo_desc(idle)).wait(), CallPath::kFallback);
+
+  const BackendStatsSnapshot s = backend->stats().snapshot();
+  EXPECT_EQ(s.fallback_busy, 1u);
+  EXPECT_EQ(s.fallback_oversize, 1u);
+  EXPECT_EQ(s.fallback_no_worker, 1u);
+  EXPECT_EQ(s.fallback_no_worker + s.fallback_busy + s.fallback_oversize,
+            s.fallback_calls);
+}
+
+// --- The configless scheduler on the plane ------------------------------------
+
+TEST_F(ZcAsyncTest, IdlePlaneParksEveryWorker) {
+  ZcAsyncConfig cfg;  // the scheduler runs, with workers=2 as its maximum
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+  ASSERT_NE(backend->scheduler(), nullptr);
+
+  const auto all_parked = [&] {
+    for (unsigned i = 0; i < backend->max_workers(); ++i) {
+      if (!backend->worker_parked(i)) return false;
+    }
+    return true;
+  };
+  // A quantum is 10 ms; a loaded host may stretch the first few.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         !(backend->scheduler()->last_decision() == 0 &&
+           backend->active_workers() == 0 && all_parked())) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(backend->scheduler()->last_decision(), 0u);
+  EXPECT_EQ(backend->active_workers(), 0u);
+  EXPECT_TRUE(all_parked());
+
+  // A parked plane still serves every call, on whichever path is open.
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    EchoArgs args;
+    args.in = i;
+    backend->submit(echo_desc(args)).wait();
+    ASSERT_EQ(args.out, i + 1);
+  }
+}
+
+TEST(ZcAsyncScheduler, SaturatingPipelinedLoadKeepsTheMaximum) {
+  // A refused call pays a 60,000-cycle transition, several times what two
+  // spinning workers cost per call under this load, yet short against a
+  // probe window: the scheduler must keep both workers.
+  SimConfig sim;
+  sim.tes_cycles = 60'000;
+  sim.logical_cpus = 8;
+  auto enclave = Enclave::create(sim);
+  const auto echo_id =
+      enclave->ocalls().register_fn("echo", [](MarshalledCall& call) {
+        auto* a = static_cast<EchoArgs*>(call.args);
+        a->out = a->in + 1;
+      });
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto owned = make_zc_async_backend(*enclave, cfg);
+  ZcAsyncBackend* backend = owned.get();
+  enclave->set_backend(std::move(owned));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  unsigned streak = 0;
+  {
+    std::vector<std::jthread> callers;
+    for (unsigned t = 0; t < 2; ++t) {
+      callers.emplace_back([&, t] {
+        constexpr unsigned kDepth = 4;
+        std::vector<EchoArgs> ring(kDepth);
+        std::vector<CallFuture> futures(kDepth);
+        for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);
+             ++i) {
+          const std::size_t k = i % kDepth;
+          futures[k].wait();
+          if (i >= kDepth && ring[k].out != ring[k].in + 1) failures++;
+          ring[k].in = t * 1'000'000'000 + i;
+          CallDesc desc;
+          desc.fn_id = echo_id;
+          desc.args = &ring[k];
+          desc.args_size = sizeof(EchoArgs);
+          futures[k] = backend->submit(desc);
+        }
+        for (auto& f : futures) f.wait();
+      });
+    }
+    // Five decisions in a row at the maximum.  A noisy host may starve
+    // a quantum's callers and cost a decision, so this waits for a run.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    std::uint64_t seen = backend->scheduler()->config_phases();
+    while (streak < 5 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+      const std::uint64_t phases = backend->scheduler()->config_phases();
+      if (phases == seen) continue;
+      seen = phases;
+      streak = backend->scheduler()->last_decision() == 2 ? streak + 1 : 0;
+    }
+    stop.store(true);
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(streak, 5u);
+  enclave->set_backend(nullptr);
+}
+
+TEST_F(ZcAsyncTest, SchedulerChurnAndStopNeverStrandOrRepeatACall) {
+  // Scheduler probes and decisions race pipelined futures, a thread
+  // churning set_active_workers, and finally stop() with calls in flight.
+  // Every call must run exactly once and resolve its own future.
+  constexpr unsigned kCallers = 2;
+  constexpr std::uint64_t kPerCaller = 1u << 18;
+  std::vector<std::atomic<std::uint32_t>> runs(kCallers * kPerCaller);
+  const auto count_id =
+      enclave_->ocalls().register_fn("count", [&](MarshalledCall& call) {
+        auto* a = static_cast<EchoArgs*>(call.args);
+        runs[a->in].fetch_add(1, std::memory_order_relaxed);
+        a->out = a->in + 1;
+      });
+  ZcAsyncConfig cfg;
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  std::atomic<bool> stop_churn{false};
+  std::atomic<bool> stop_callers{false};
+  std::atomic<int> failures{0};
+  std::array<std::uint64_t, kCallers> issued{};
+  {
+    std::vector<std::jthread> threads;
+    for (unsigned t = 0; t < kCallers; ++t) {
+      threads.emplace_back([&, t] {
+        constexpr unsigned kDepth = 4;
+        std::vector<EchoArgs> ring(kDepth);
+        std::vector<CallFuture> futures(kDepth);
+        std::uint64_t i = 0;
+        for (; i < kPerCaller && !stop_callers.load(std::memory_order_relaxed);
+             ++i) {
+          const std::size_t k = i % kDepth;
+          futures[k].wait();
+          if (i >= kDepth && ring[k].out != ring[k].in + 1) failures++;
+          ring[k].in = t * kPerCaller + i;
+          CallDesc desc;
+          desc.fn_id = count_id;
+          desc.args = &ring[k];
+          desc.args_size = sizeof(EchoArgs);
+          futures[k] = backend->submit(desc);
+        }
+        for (std::size_t k = 0; k < kDepth; ++k) {
+          futures[k].wait();
+          if (futures[k].valid() && ring[k].out != ring[k].in + 1) failures++;
+        }
+        issued[t] = i;
+      });
+    }
+    threads.emplace_back([&] {
+      for (unsigned m = 0; !stop_churn.load(std::memory_order_relaxed); ++m) {
+        backend->set_active_workers(m % 3);
+        std::this_thread::sleep_for(3ms);
+      }
+    });
+    // A few quanta of decisions and probes, then stop under load.
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (backend->scheduler()->config_phases() < 4 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    stop_churn.store(true);
+    backend->stop();
+    std::this_thread::sleep_for(2ms);  // calls after stop() run regularly
+    stop_callers.store(true);
+  }
+  EXPECT_EQ(failures.load(), 0);
+  std::uint64_t total = 0;
+  for (unsigned t = 0; t < kCallers; ++t) {
+    total += issued[t];
+    for (std::uint64_t i = 0; i < issued[t]; ++i) {
+      ASSERT_EQ(runs[t * kPerCaller + i].load(), 1u)
+          << "caller " << t << " call " << i;
+    }
+  }
+  const BackendStatsSnapshot s = backend->stats().snapshot();
+  EXPECT_EQ(s.total_calls(), total);
+  EXPECT_EQ(s.fallback_no_worker + s.fallback_busy + s.fallback_oversize,
+            s.fallback_calls);
+  EXPECT_EQ(s.in_flight, 0u);
 }
 
 }  // namespace

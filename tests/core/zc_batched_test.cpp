@@ -24,9 +24,13 @@ struct EchoArgs {
 };
 
 /// The zc_batched key's defaults: batch 8, flush 100 µs, spin 50 µs,
-/// wait=yield.  make() sizes the table at workers×batch.
+/// wait=yield, but with the worker count fixed: most tests below pin flush
+/// counts, home ranges, wakeups or the switchless path, which a scheduler
+/// decision (an idle plane parks every worker) would change.  make() sizes
+/// the table at workers×batch.
 ZcAsyncConfig batched_config() {
   ZcAsyncConfig cfg;
+  cfg.scheduler_enabled = false;
   cfg.batch = 8;
   cfg.flush = 100us;
   cfg.spin = 50us;
@@ -245,7 +249,9 @@ TEST_F(ZcBatchedTest, PauseDrainsAndResumeRestoresService) {
 }
 
 TEST_F(ZcBatchedTest, PauseResumeChurnLosesNoCalls) {
+  // The scheduler runs too: its probes and decisions race the churn.
   ZcAsyncConfig cfg = batched_config();
+  cfg.scheduler_enabled = true;
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -323,7 +329,8 @@ TEST_F(ZcBatchedTest, LargeSpinBudgetNeverYields) {
 
 TEST_F(ZcBatchedTest, SpinOptionReachesTheBackendFromTheSpecPlane) {
   install_backend_spec(*enclave_,
-                       "zc_batched:workers=1;batch=2;flush_us=50;spin_us=0");
+                       "zc_batched:workers=1;scheduler=off;batch=2;"
+                       "flush_us=50;spin_us=0");
   auto* backend = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_EQ(backend->config().spin.count(), 0);
@@ -396,6 +403,7 @@ TEST_P(ZcBatchedPlaneTest, ConcurrentCallersAreAllServed) {
 
 TEST_P(ZcBatchedPlaneTest, PauseResumeChurnLosesNoCalls) {
   ZcAsyncConfig cfg = plane_config();
+  cfg.scheduler_enabled = true;
   cfg.workers = 2;
   cfg.batch = 2;
   cfg.flush = 50us;
@@ -824,6 +832,102 @@ TEST_F(ZcBatchedTest, StoppedBackendExecutesRegularly) {
     return desc;
   }()), CallPath::kRegular);
   EXPECT_EQ(args.out, 11u);
+}
+
+// --- The configless scheduler on batched ranges ------------------------------
+
+TEST_F(ZcBatchedTest, IdlePlaneParksEveryWorker) {
+  ZcAsyncConfig cfg = batched_config();
+  cfg.scheduler_enabled = true;  // workers=2 is the scheduler's maximum
+  cfg.workers = 2;
+  auto* backend = install(cfg);
+
+  const auto all_parked = [&] {
+    for (unsigned i = 0; i < backend->max_workers(); ++i) {
+      if (!backend->worker_parked(i)) return false;
+    }
+    return true;
+  };
+  // A quantum is 10 ms; a loaded host may stretch the first few.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         !(backend->scheduler()->last_decision() == 0 &&
+           backend->active_workers() == 0 && all_parked())) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(backend->scheduler()->last_decision(), 0u);
+  EXPECT_EQ(backend->active_workers(), 0u);
+  EXPECT_TRUE(all_parked());
+
+  // A parked plane still serves every call, on whichever path is open.
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    EchoArgs args;
+    args.in = i;
+    enclave_->ocall(echo_id_, args);
+    ASSERT_EQ(args.out, i + 1);
+  }
+}
+
+TEST(ZcBatchedScheduler, SaturatingPipelinedLoadKeepsTheMaximum) {
+  // Two callers submit a full batch each, then collect it.  A refused call
+  // pays a
+  // 60,000-cycle transition, several times what two spinning workers
+  // cost per call here, yet short against a probe window: the scheduler
+  // must keep both workers.
+  SimConfig sim;
+  sim.tes_cycles = 60'000;
+  sim.logical_cpus = 8;
+  auto enclave = Enclave::create(sim);
+  const auto echo_id =
+      enclave->ocalls().register_fn("echo", [](MarshalledCall& call) {
+        auto* a = static_cast<EchoArgs*>(call.args);
+        a->out = a->in + 1;
+      });
+  ZcAsyncConfig cfg = batched_config();
+  cfg.scheduler_enabled = true;
+  cfg.workers = 2;
+  auto owned = make(*enclave, cfg);
+  ZcAsyncBackend* backend = owned.get();
+  enclave->set_backend(std::move(owned));
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  unsigned streak = 0;
+  {
+    std::vector<std::jthread> callers;
+    for (unsigned t = 0; t < 2; ++t) {
+      callers.emplace_back([&, t] {
+        // Submit a whole batch, then collect it.
+        std::vector<EchoArgs> batch(cfg.batch);
+        std::vector<CallFuture> futures(cfg.batch);
+        for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed);) {
+          for (std::size_t k = 0; k < batch.size(); ++k, ++i) {
+            batch[k].in = t * 1'000'000'000 + i;
+            futures[k] = backend->submit(desc_for(echo_id, batch[k]));
+          }
+          for (std::size_t k = 0; k < batch.size(); ++k) {
+            futures[k].wait();
+            if (batch[k].out != batch[k].in + 1) failures++;
+          }
+        }
+      });
+    }
+    // Five decisions in a row at the maximum.  A noisy host may starve
+    // a quantum's callers and cost a decision, so this waits for a run.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    std::uint64_t seen = backend->scheduler()->config_phases();
+    while (streak < 5 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+      const std::uint64_t phases = backend->scheduler()->config_phases();
+      if (phases == seen) continue;
+      seen = phases;
+      streak = backend->scheduler()->last_decision() == 2 ? streak + 1 : 0;
+    }
+    stop.store(true);
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(streak, 5u);
+  enclave->set_backend(nullptr);
 }
 
 }  // namespace

@@ -365,7 +365,8 @@ TEST_F(ZcShardedTest, PerShardSchedulersRunIndependently) {
 
 TEST_F(ZcShardedTest, ComposedBatchedInnerServesSwitchlessly) {
   install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=1)");
+      *enclave_,
+      "zc_sharded:shards=2;inner=(zc_batched:workers=1;scheduler=off;batch=1)");
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_STREQ(backend->name(), "zc_sharded[zc_batched]");
@@ -384,7 +385,8 @@ TEST_F(ZcShardedTest, ComposedBatchedInnerServesSwitchlessly) {
 
 TEST_F(ZcShardedTest, ComposedAsyncInnerServesSwitchlessly) {
   install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=4)");
+      *enclave_,
+      "zc_sharded:shards=2;inner=(zc_async:workers=1;scheduler=off;queue=4)");
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   EXPECT_STREQ(backend->name(), "zc_sharded[zc_async]");
@@ -407,7 +409,7 @@ TEST_F(ZcShardedTest, ComposedEcallPlaneInheritsTheOuterDirection) {
   install_backend_spec(
       *enclave_,
       "zc_sharded:direction=ecall;shards=2;inner=(zc_batched:workers=1;"
-      "batch=2)");
+      "scheduler=off;batch=2)");
   EXPECT_STREQ(enclave_->ecall_backend().name(), "zc_sharded[zc_batched]-ecall");
   EchoArgs args;
   args.in = 9;
@@ -423,7 +425,8 @@ TEST_F(ZcShardedTest, ComposedStealServesThroughTheInnerProbe) {
   // through the generic try_invoke_switchless seam.
   install_backend_spec(
       *enclave_,
-      "zc_sharded:shards=2;steal=on;inner=(zc_batched:workers=1;batch=1)");
+      "zc_sharded:shards=2;steal=on;"
+      "inner=(zc_batched:workers=1;scheduler=off;batch=1)");
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   std::jthread holder = stall_shard(*backend, 0);
@@ -439,7 +442,8 @@ TEST_F(ZcShardedTest, ComposedStealServesThroughTheInnerProbe) {
 
 TEST_F(ZcShardedTest, SnapshotRollsUpComposedLayers) {
   install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=1)");
+      *enclave_,
+      "zc_sharded:shards=2;inner=(zc_batched:workers=1;scheduler=off;batch=1)");
   auto* backend = dynamic_cast<ZcShardedBackend*>(&enclave_->backend());
   ASSERT_NE(backend, nullptr);
   for (std::uint64_t i = 0; i < 100; ++i) {

@@ -595,8 +595,10 @@ TEST_F(StressTest, RedundantCommandStormLeavesParkedWorkersAsleep) {
   // Regression: a scheduler that re-issues the same set_active_workers
   // value every probe used to wake every parked worker each time.  A
   // 10k-call storm of redundant commands must leave worker_wakeups flat;
-  // the real transitions at the end still restore service.
-  install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=50");
+  // the real transitions at the end still restore service.  Built with the
+  // scheduler off: its probes are real transitions that wake workers.
+  install_backend_spec(*enclave_,
+                       "zc_batched:workers=2;scheduler=off;batch=2;flush_us=50");
   auto* raw = dynamic_cast<ZcAsyncBackend*>(&enclave_->backend());
   ASSERT_NE(raw, nullptr);
 

@@ -58,7 +58,8 @@ TEST_F(HarnessTest, AsyncPlaneServesBothSlottedKeys) {
   // zc_batched and zc_async build the one slotted plane, so pipelined
   // drivers accept either; a synchronous family has no plane.
   for (const char* spec :
-       {"zc_async:workers=1;queue=4", "zc_batched:workers=1;batch=2"}) {
+       {"zc_async:workers=1;scheduler=off;queue=4",
+        "zc_batched:workers=1;scheduler=off;batch=2"}) {
     install_backend(*enclave_, ModeSpec::parse(spec, "slotted"));
     ZcAsyncBackend* plane = async_plane(*enclave_);
     ASSERT_NE(plane, nullptr) << spec;
@@ -103,7 +104,7 @@ TEST_F(HarnessTest, MeasureReportsWallAndCpu) {
   const Measured m = measure(meter, [&] {
     const std::uint64_t start = wall_ns();
     volatile std::uint64_t sink = 0;
-    while (wall_ns() - start < 30'000'000) sink += 1;
+    while (wall_ns() - start < 30'000'000) sink = sink + 1;
     meter.checkpoint(slot);
   });
   EXPECT_GT(m.seconds, 0.025);
@@ -118,7 +119,7 @@ TEST_F(HarnessTest, SimThreadScopeRegistersWithMeter) {
       SimThreadScope scope(*enclave_, &meter);
       const std::uint64_t start = wall_ns();
       volatile std::uint64_t sink = 0;
-      while (wall_ns() - start < 30'000'000) sink += 1;
+      while (wall_ns() - start < 30'000'000) sink = sink + 1;
       scope.checkpoint();
     });
   }
