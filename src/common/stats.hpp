@@ -39,11 +39,12 @@ inline std::size_t this_thread_cell() noexcept {
   return cell != detail::kNoCell ? cell : detail::claim_counter_cell();
 }
 
-/// Monotonically increasing total striped over cache-line cells: add()
-/// touches only the calling thread's cell, so counters bumped by every
-/// caller and worker on each call never bounce a shared line.  load() sums
-/// the cells; for a single reader it never goes backwards while only add()
-/// is used, which is what the scheduler's and controllers' deltas rely on.
+/// A total striped over cache-line cells: add() touches only the calling
+/// thread's cell, so counters bumped by every caller and worker on each
+/// call never bounce a shared line.  load() sums the cells; for a single
+/// reader it never goes backwards while only add() is used, which is what
+/// the scheduler's and controllers' deltas rely on.  A level that sub()
+/// also moves (calls in flight) is read with level().
 ///
 /// The cells are a block recycled through a process-wide free list whose
 /// memory is never handed back to malloc: every backend owns a score of
@@ -70,28 +71,17 @@ class PaddedCounter {
     }
     return total;
   }
+  /// The sum read as a level that add() and sub() move on different
+  /// threads (a call claimed on one and released on another): a reader can
+  /// see a sub() before the add() it pairs with, and that transient wrap
+  /// below 0 reads as 0.
+  std::uint64_t level() const noexcept {
+    const auto total = static_cast<std::int64_t>(load());
+    return total < 0 ? 0 : static_cast<std::uint64_t>(total);
+  }
 
  private:
   CounterCell* cells_;  ///< kCounterCells cells; the pointer is read-only
-};
-
-/// Cache-line padded gauge: a single atomic for levels rather than totals
-/// (e.g. calls currently inside a backend).  Unlike PaddedCounter it is not
-/// striped: load-aware routing reads it on every call, where one line beats
-/// a sum over cells.  Relaxed ordering throughout — readers want a cheap,
-/// approximately current level, not a synchronisation point.
-struct alignas(64) PaddedGauge {
-  std::atomic<std::uint64_t> value{0};
-
-  void add(std::uint64_t n = 1) noexcept {
-    value.fetch_add(n, std::memory_order_relaxed);
-  }
-  void sub(std::uint64_t n = 1) noexcept {
-    value.fetch_sub(n, std::memory_order_relaxed);
-  }
-  std::uint64_t load() const noexcept {
-    return value.load(std::memory_order_relaxed);
-  }
 };
 
 /// Welford online mean/variance with min/max. Single-writer.

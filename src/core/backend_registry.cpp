@@ -567,7 +567,7 @@ std::unique_ptr<CallBackend> build_zc_batched(Enclave& enclave,
 }
 
 // zc_async: a `queue`-slot table whose every publish opens the flush gate;
-// waiters sleep on the slot's gate after a 1 µs collect grace.
+// waiters sleep on the slot's gate after a 5 µs collect grace.
 std::unique_ptr<CallBackend> build_zc_async(Enclave& enclave,
                                             const BackendSpec& spec,
                                             CpuUsageMeter* meter) {

@@ -56,11 +56,13 @@ bool ZcWorker::try_reserve() noexcept {
 }
 
 void* ZcWorker::alloc_frame(std::size_t bytes) {
+  if (InlineFrame::fits(bytes, pool_.capacity())) return inline_.bytes;
   void* mem = pool_.allocate(bytes, 64);
   if (mem == nullptr) {
     // Pool exhausted: free and re-allocate via an ocall (§IV-B). The
     // caller pays one full enclave transition; this is the source of the
-    // latency spikes the paper observes in Fig. 8.
+    // latency spikes the paper observes in Fig. 8 — here only for frames
+    // too large to travel inline.
     enclave_.transitions().eexit();
     pool_.reset();
     enclave_.transitions().eenter();

@@ -25,6 +25,7 @@
 #include "common/pool.hpp"
 #include "core/zc_config.hpp"
 #include "sgx/enclave.hpp"
+#include "sgx/marshal.hpp"
 
 namespace zc {
 
@@ -66,10 +67,11 @@ class ZcWorker {
   /// without writing its status line.
   bool try_reserve() noexcept;
 
-  /// Allocates frame memory from the worker's request pool.  When the pool
-  /// is full it is freed and re-allocated via a (regular) ocall — the
-  /// caller pays one enclave transition — then allocation is retried.
-  /// Returns nullptr if `bytes` exceed the pool outright.
+  /// Allocates frame memory: the buffer's inline request area when the
+  /// frame fits it (InlineFrame::fits), else the worker's request pool.
+  /// When the pool is full it is freed and re-allocated via a (regular)
+  /// ocall — the caller pays one enclave transition — then allocation is
+  /// retried.  Returns nullptr if `bytes` exceed the pool outright.
   void* alloc_frame(std::size_t bytes);
 
   /// Publishes the marshalled request and moves RESERVED -> PROCESSING.
@@ -112,13 +114,15 @@ class ZcWorker {
   unsigned index_;
 
   // The paper's worker buffer (§IV-B): status + scheduler word + request +
-  // preallocated pool.  The first three form the hand-off line, the one
-  // line the idle worker spins on; everything written per call by only one
+  // preallocated pool.  The first three and the inline request area form
+  // the hand-off lines, the ones the idle worker spins on and the caller
+  // marshals a small frame into; everything written per call by only one
   // side (the caller's pool cursor, the worker's served count) sits on a
   // line of its own so it never invalidates the hand-off mid-poll.
   alignas(64) std::atomic<WorkerState> status_{WorkerState::kUnused};
   std::atomic<SchedCmd> cmd_{SchedCmd::kRun};
   void* request_ = nullptr;  ///< most recent request; ordered by status_
+  InlineFrame inline_;       ///< small frames; ordered by status_
   alignas(64) BumpPool pool_;
   CompletionGate done_gate_;  ///< the caller's hand-off wait on status_
 

@@ -220,14 +220,18 @@ Refusal ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   Slot* slot = slots_[index].get();
   Worker& range = *workers_[slot->owner];
 
+  const std::size_t bytes = frame_bytes(desc);
   void* mem = nullptr;
-  if (slab_ != nullptr) {
+  if (InlineFrame::fits(bytes, cfg_.slot_pool_bytes)) {
+    // Small frames travel in the slot's own lines, whatever the pool kind.
+    mem = slot->request.bytes;
+  } else if (slab_ != nullptr) {
     // Shared slab: per-frame blocks, freed at release — no per-claim
     // reset and no size cliff (the slab never refuses).
-    mem = slab_->allocate(frame_bytes(desc));
+    mem = slab_->allocate(bytes);
   } else {
     slot->pool.reset();  // single-request pool: fresh for every claim
-    mem = slot->pool.allocate(frame_bytes(desc), 64);
+    mem = slot->pool.allocate(bytes, 64);
   }
   if (mem == nullptr) {
     // Request larger than the slot pool: cannot go switchless.
@@ -309,7 +313,10 @@ bool ZcAsyncBackend::handle_completed(FutureHandle h) const noexcept {
 }
 
 void ZcAsyncBackend::release_slot(Slot& slot) {
-  if (slab_ != nullptr && slot.frame != nullptr) slab_->free(slot.frame);
+  if (slab_ != nullptr && slot.frame != nullptr &&
+      slot.frame != slot.request.bytes) {
+    slab_->free(slot.frame);
+  }
   slot.frame = nullptr;
   stats_.in_flight.sub();
   // Clear the abandon mark with the occupancy it belonged to, so a stale

@@ -48,7 +48,7 @@
 //
 //   zc_batched  workers×batch slots, batch 8, flush 100 µs, spin 50 µs,
 //               wait=yield: callers wait for a batch.
-//   zc_async    queue slots, batch 1, 1 µs collect grace, wait=condvar:
+//   zc_async    queue slots, batch 1, 5 µs collect grace, wait=condvar:
 //               every publish opens the gate; waiters sleep.
 //
 // Completion-table slot life cycle:
@@ -100,6 +100,7 @@
 #include "common/pool.hpp"
 #include "core/scheduler.hpp"
 #include "sgx/enclave.hpp"
+#include "sgx/marshal.hpp"
 
 namespace zc {
 
@@ -116,8 +117,12 @@ struct ZcAsyncConfig {
   /// worker takes it.
   std::chrono::microseconds flush{100};
   /// Collect-side spin budget (`pause`) before the `wait` policy applies.
-  /// Every yield bumps BackendStats::caller_yields.
-  std::chrono::microseconds spin{1};
+  /// Every yield bumps BackendStats::caller_yields.  The default grace is
+  /// about what a condvar sleep and wake costs (4-16 µs on a 4-vCPU VM):
+  /// a pipelined caller whose worker is the bottleneck waits about one
+  /// service time for its oldest call, and a 1 µs grace puts ~1% of
+  /// those waits to sleep, each stalling the caller's whole pipeline.
+  std::chrono::microseconds spin{5};
   /// What a waiter does after the spin budget (CompletionGate): yield
   /// between polls, or sleep on the slot's state word (futex/condvar)
   /// until the worker notifies (caller_sleeps/caller_wakeups).
@@ -284,6 +289,12 @@ class ZcAsyncBackend final : public CallBackend, public WorkerSet {
 
   const ZcAsyncConfig& config() const noexcept { return cfg_; }
 
+  /// Slot `i`'s bump pool (diagnostics: a frame that travels inline in
+  /// the slot never touches it).
+  const BumpPool& slot_pool(unsigned i) const noexcept {
+    return slots_[i]->pool;
+  }
+
   CopyMode copy_mode() const noexcept override { return cfg_.copy; }
 
  private:
@@ -298,15 +309,19 @@ class ZcAsyncBackend final : public CallBackend, public WorkerSet {
     kReclaiming,  ///< transient: winner of the done-vs-abandon release race
   };
 
+  // The first line holds every word a worker reads per call, and the
+  // inline request area starts right after them, so a small frame's
+  // header rides in the state word's line and its args in the next.
   struct alignas(64) Slot {
     explicit Slot(std::size_t pool_bytes) : pool(pool_bytes) {}
-    unsigned owner = 0;  ///< index of the worker whose home range holds it
     std::atomic<SlotState> state{SlotState::kFree};
+    std::atomic<bool> abandoned{false};
     std::atomic<std::uint64_t> generation{0};
     std::atomic<std::uint64_t> publish_ns{0};  ///< flush-window anchor
-    std::atomic<bool> abandoned{false};
-    CallDesc desc;          ///< caller-side descriptor; ordered by `state`
     void* frame = nullptr;  ///< marshalled request; ordered by `state`
+    InlineFrame request;    ///< small frames; ordered by `state`
+    unsigned owner = 0;  ///< index of the worker whose home range holds it
+    CallDesc desc;       ///< caller-side descriptor; ordered by `state`
     BumpPool pool;
     std::mutex mu;        ///< abandon/release serialisation
     CompletionGate gate;  ///< the waiter's wait on `state` (kDone)

@@ -114,8 +114,13 @@ Refusal ZcBackend::try_switchless(const CallDesc& desc) {
   // wants to balance (fallbacks run on the caller's own thread and do
   // not occupy this backend, so they are deliberately not counted).
   stats_.in_flight.add();
-  void* mem = slab_ != nullptr ? slab_->allocate(frame_bytes(desc))
-                               : worker->alloc_frame(frame_bytes(desc));
+  // A frame small enough travels inline in the worker's hand-off lines,
+  // whatever the pool kind; larger ones come from the slab or the bump
+  // pool, whose oversize rule InlineFrame::fits keeps.
+  const std::size_t bytes = frame_bytes(desc);
+  const bool slab_frame =
+      slab_ != nullptr && !InlineFrame::fits(bytes, cfg_.worker_pool_bytes);
+  void* mem = slab_frame ? slab_->allocate(bytes) : worker->alloc_frame(bytes);
   if (mem == nullptr) {
     // Request larger than the whole pool: cannot go switchless.  (The
     // slab never refuses — that is the large-payload cliff it removes.)
@@ -128,12 +133,16 @@ Refusal ZcBackend::try_switchless(const CallDesc& desc) {
   worker->submit(mem);
   worker->wait_done();
   unmarshal_from(call, desc);
-  worker->release();
-  if (slab_ != nullptr) slab_->free(mem);
+  if (slab_frame) slab_->free(mem);
+  // Every counter update comes before the release.  The releasing store
+  // needs the status line back from the worker, which wrote it last; a
+  // locked op after that store would drain the store buffer, and so wait
+  // for the cross-core transfer.
   const std::uint64_t elided = copies_elided_by(desc);
   if (elided != 0) stats_.copies_elided.add(elided);
   stats_.in_flight.sub();
   stats_.switchless_calls.add();
+  worker->release();
   return Refusal::kNone;
 }
 

@@ -84,14 +84,15 @@ std::vector<std::uint64_t> ZcShardedBackend::per_shard_served() const {
 }
 
 unsigned ZcShardedBackend::least_loaded_shard() const noexcept {
-  // One relaxed load per shard; the gauge is approximate by design (two
-  // callers can pick the same minimum) — the cheapness is the point, and
-  // the next call sees the corrected level.
+  // One striped sum per shard (relaxed loads of its counter cells); the
+  // level is approximate by design (two callers can pick the same
+  // minimum) — the cheapness is the point, and the next call sees the
+  // corrected level.
   const auto n = static_cast<unsigned>(shards_.size());
   unsigned best = 0;
-  std::uint64_t best_load = shards_[0]->stats().in_flight.load();
+  std::uint64_t best_load = shards_[0]->stats().in_flight.level();
   for (unsigned i = 1; i < n && best_load > 0; ++i) {
-    const std::uint64_t load = shards_[i]->stats().in_flight.load();
+    const std::uint64_t load = shards_[i]->stats().in_flight.level();
     if (load < best_load) {
       best = i;
       best_load = load;

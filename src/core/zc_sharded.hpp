@@ -26,8 +26,8 @@
 //  - round_robin: a relaxed atomic ticket spreads calls evenly.  Best when
 //    callers are homogeneous.
 //  - least_loaded: routes to the shard with the fewest calls currently
-//    occupying its capacity (each shard's stats().in_flight gauge, one
-//    relaxed load per shard).  Count-blind policies route onto shards
+//    occupying its capacity (each shard's stats().in_flight level, a sum
+//    of its 16 striped counter cells).  Count-blind policies route onto shards
 //    whose workers are tied up in long calls; this one follows *observed*
 //    load.  Ties go to the lowest index, so an idle backend routes
 //    deterministically.

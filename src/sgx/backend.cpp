@@ -65,7 +65,7 @@ BackendStatsSnapshot BackendStats::snapshot() const noexcept {
   s.slab_misses = slab_misses.load();
   s.slab_grows = slab_grows.load();
   s.copies_elided = copies_elided.load();
-  s.in_flight = in_flight.load();
+  s.in_flight = in_flight.level();
   return s;
 }
 

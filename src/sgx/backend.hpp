@@ -92,9 +92,11 @@ struct BackendStats {
   PaddedCounter copies_elided;     ///< payload copies skipped by copy=single
                                    ///< (handler consumed/produced in place)
   /// Calls currently occupying one of this backend's workers (claimed
-  /// through collected).  This is the cheap per-shard load signal the
-  /// sharded backend's load-aware selectors read: a level, not a total.
-  PaddedGauge in_flight;
+  /// through collected).  This is the per-shard load signal the sharded
+  /// backend's load-aware selectors read: a level, not a total, so read it
+  /// with level().  Striped like every counter, so the claim and release
+  /// of a call write only their own threads' cells.
+  PaddedCounter in_flight;
 
   std::uint64_t total_calls() const noexcept {
     return regular_calls.load() + switchless_calls.load() +

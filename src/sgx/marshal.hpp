@@ -118,6 +118,27 @@ struct FrameHeader {
   std::uint64_t reserved1 = 0;
 };
 
+/// Capacity of the request area a hand-off record carries next to its
+/// state word: a zc worker's buffer (the paper's "most recent request"
+/// field, §IV-B) and a slotted-plane slot.  It holds kissdb's fseeko,
+/// fread and fwrite frames (64-72 B) and a 16 B audit-log fwrite (80 B);
+/// with zc's 16 B of hand-off words it fills exactly two cache lines.
+inline constexpr std::size_t kInlineFrameBytes = 112;
+
+/// A call frame that travels in the hand-off lines instead of a pool, so
+/// a small call costs the worker no line beyond the ones its state word
+/// already brings over.  16-byte aligned like every frame's args area.
+struct alignas(16) InlineFrame {
+  std::byte bytes[kInlineFrameBytes] = {};
+
+  /// Whether a frame of `bytes` goes inline.  It must also fit the pool it
+  /// would otherwise come from (`pool_bytes`), so a frame that pool
+  /// refuses is still refused: the oversize rules do not move.
+  static bool fits(std::size_t bytes, std::size_t pool_bytes) noexcept {
+    return bytes <= kInlineFrameBytes && bytes <= pool_bytes;
+  }
+};
+
 /// Bytes of untrusted memory needed to marshal `desc`.
 std::size_t frame_bytes(const CallDesc& desc) noexcept;
 

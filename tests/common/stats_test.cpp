@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <latch>
 #include <set>
 #include <stdexcept>
@@ -74,6 +75,54 @@ TEST(PaddedCounter, SubTakesACountBack) {
   EXPECT_EQ(c.load(), 3u);
   c.sub(3);
   EXPECT_EQ(c.load(), 0u);
+}
+
+TEST(PaddedCounter, LevelCountsTheNetAcrossThreads) {
+  // A call in flight is claimed on one thread and may be released on
+  // another: the level is the net over both threads' cells, and a reader
+  // racing them never sees it above the claims made or wrapped below 0.
+  constexpr std::uint64_t kCalls = 100'000;
+  PaddedCounter level;
+  std::atomic<std::uint64_t> claimed{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> out_of_range{0};
+  {
+    std::jthread reader([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        if (level.level() > kCalls) out_of_range.fetch_add(1);
+      }
+    });
+    std::jthread claimer([&] {
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        level.add();
+        claimed.store(i + 1, std::memory_order_release);
+      }
+    });
+    std::jthread releaser([&] {
+      for (std::uint64_t i = 0; i < kCalls; ++i) {
+        while (claimed.load(std::memory_order_acquire) <= i) {
+          std::this_thread::yield();
+        }
+        level.sub();
+      }
+    });
+    claimer.join();
+    releaser.join();
+    done.store(true, std::memory_order_release);
+  }
+  EXPECT_EQ(level.load(), 0u);
+  EXPECT_EQ(level.level(), 0u);
+  EXPECT_EQ(out_of_range.load(), 0);
+}
+
+TEST(PaddedCounter, LevelReadsATransientWrapAsZero) {
+  // A release observed before the claim it pairs with wraps the sum.
+  PaddedCounter level;
+  std::jthread([&] { level.sub(); }).join();
+  EXPECT_EQ(level.load(), ~std::uint64_t{0});
+  EXPECT_EQ(level.level(), 0u);
+  level.add(3);
+  EXPECT_EQ(level.level(), 2u);
 }
 
 TEST(PaddedCounter, LiveThreadsHoldDistinctCells) {

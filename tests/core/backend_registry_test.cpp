@@ -613,7 +613,7 @@ TEST_F(BackendRegistryTest, SlottedPlaneKeysKeepTheirOptionLists) {
   const ZcAsyncConfig& a = dynamic_cast<ZcAsyncBackend&>(*async).config();
   EXPECT_EQ(a.queue, 32u);
   EXPECT_EQ(a.batch, 1u);
-  EXPECT_EQ(a.spin.count(), 1);
+  EXPECT_EQ(a.spin.count(), 5);
   EXPECT_EQ(a.wait, GateWaitPolicy::kCondvar);
   // Both keys run the configless scheduler with workers= as its maximum,
   // spelled as on zc.

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "sgx/marshal.hpp"
 
@@ -29,13 +30,17 @@ class ZcWorkerTest : public ::testing::Test {
     worker_ = std::make_unique<ZcWorker>(*enclave_, cfg_, stats_, 0);
   }
 
-  // Drives one full switchless call through the worker by hand.
-  CallPath drive_call(IncArgs& args) {
+  // Drives one full switchless call through the worker by hand, with an
+  // [in] payload of `in_bytes`.
+  CallPath drive_call(IncArgs& args, std::size_t in_bytes = 0) {
     if (!worker_->try_reserve()) return CallPath::kFallback;
+    const std::vector<char> payload(in_bytes, 'p');
     CallDesc desc;
     desc.fn_id = inc_id_;
     desc.args = &args;
     desc.args_size = sizeof(args);
+    desc.in_payload = payload.data();
+    desc.in_size = in_bytes;
     void* mem = worker_->alloc_frame(frame_bytes(desc));
     if (mem == nullptr) {
       worker_->cancel_reservation();
@@ -104,10 +109,11 @@ TEST_F(ZcWorkerTest, ServesManySequentialCalls) {
 TEST_F(ZcWorkerTest, PoolExhaustionResetsViaOcall) {
   worker_->start();
   IncArgs args;
-  // 4 KiB pool, each frame is ~sizeof(header)+16, aligned to 64 -> 64 bytes;
-  // after ~64 calls the pool must reset at least once.
+  // 4 KiB pool; a 128 B payload makes a 176 B frame, too large to travel
+  // inline, aligned to 64 -> 192 bytes: after ~21 calls the pool must
+  // reset at least once.
   for (int i = 0; i < 300; ++i) {
-    ASSERT_EQ(drive_call(args), CallPath::kSwitchless);
+    ASSERT_EQ(drive_call(args, 128), CallPath::kSwitchless);
   }
   EXPECT_GE(stats_.pool_resets.load(), 1u);
   // Each reset is "an ocall": one eexit+eenter pair, with no dispatch.

@@ -936,6 +936,76 @@ TEST_F(ZcAsyncTest, OversizedRequestFallsBack) {
   EXPECT_EQ(args.out, 2u);
 }
 
+TEST_F(ZcAsyncTest, SmallFramesNeverTouchTheSlotPool) {
+  // A frame that fits the slot's inline request area travels in the
+  // slot's own lines; only a larger one takes the slot's bump pool.
+  ZcAsyncConfig cfg = fixed_workers();
+  cfg.workers = 1;
+  cfg.queue = 4;
+  auto* backend = install(cfg);
+  const auto pooled = [&] {
+    std::uint64_t n = 0;
+    for (unsigned i = 0; i < cfg.queue; ++i) {
+      n += backend->slot_pool(i).reset_count();
+    }
+    return n;
+  };
+  const auto xor_id =
+      enclave_->ocalls().register_fn("xor", [](MarshalledCall& c) {
+        auto* p = static_cast<std::uint8_t*>(c.payload);
+        for (std::size_t i = 0; i < c.payload_size; ++i) p[i] ^= 0xFF;
+      });
+  const auto round_trip = [&](std::size_t bytes, std::uint8_t seed) {
+    std::vector<std::uint8_t> in(bytes, seed);
+    std::vector<std::uint8_t> out(bytes);
+    EchoArgs args;
+    CallDesc desc;
+    desc.fn_id = xor_id;
+    desc.args = &args;
+    desc.args_size = sizeof(args);
+    desc.in_payload = in.data();
+    desc.in_size = in.size();
+    desc.out_payload = out.data();
+    desc.out_size = out.size();
+    EXPECT_EQ(backend->submit(desc).wait(), CallPath::kSwitchless);
+    for (const std::uint8_t b : out) {
+      ASSERT_EQ(b, static_cast<std::uint8_t>(seed ^ 0xFF));
+    }
+  };
+  for (unsigned i = 0; i < 1'000; ++i) {
+    round_trip(16, static_cast<std::uint8_t>(i));
+  }
+  EXPECT_EQ(pooled(), 0u);
+  round_trip(kInlineFrameBytes, 7);
+  EXPECT_EQ(pooled(), 1u);
+}
+
+TEST_F(ZcAsyncTest, SmallFramesNeverTouchTheSlab) {
+  ZcAsyncConfig cfg = fixed_workers();
+  cfg.workers = 1;
+  cfg.queue = 4;
+  cfg.pool = FramePoolKind::kSlab;
+  auto* backend = install(cfg);
+  const auto slab_frames = [&] {
+    return backend->stats().slab_hits.load() +
+           backend->stats().slab_misses.load();
+  };
+  for (std::uint64_t i = 0; i < 1'000; ++i) {
+    EchoArgs args;
+    args.in = i;
+    ASSERT_EQ(backend->submit(echo_desc(args)).wait(), CallPath::kSwitchless);
+    ASSERT_EQ(args.out, i + 1);
+  }
+  EXPECT_EQ(slab_frames(), 0u);
+  std::vector<std::uint8_t> payload(kInlineFrameBytes, 0xAB);
+  EchoArgs args;
+  CallDesc desc = echo_desc(args);
+  desc.in_payload = payload.data();
+  desc.in_size = payload.size();
+  EXPECT_EQ(backend->submit(desc).wait(), CallPath::kSwitchless);
+  EXPECT_EQ(slab_frames(), 1u);
+}
+
 TEST_F(ZcAsyncTest, FallbackReasonsSumToFallbackCalls) {
   // One refusal of each kind: the table full (busy), no active worker, and
   // a frame larger than its slot pool.

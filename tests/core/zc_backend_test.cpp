@@ -175,9 +175,48 @@ TEST_F(ZcBackendTest, PoolResetsShowUpInStats) {
   cfg.worker_pool_bytes = 2048;
   auto* backend = install(cfg);
   IncArgs args;
-  for (int i = 0; i < 500; ++i) enclave_->ocall(inc_id_, args);
+  // Frames above the inline capacity come from the pool.
+  std::vector<char> payload(kInlineFrameBytes, 'x');
+  for (int i = 0; i < 500; ++i) {
+    enclave_->ocall_in(inc_id_, args, payload.data(), payload.size());
+  }
   EXPECT_GE(backend->stats().pool_resets.load(), 1u);
   EXPECT_EQ(args.x, 500);
+}
+
+TEST_F(ZcBackendTest, SmallFramesTravelInlineWithoutPoolResets) {
+  // A bump pool of 4 KiB would hold 64 of these 64 B frames and then
+  // reset, one ocall each time; inline frames never touch the pool.
+  ZcConfig cfg = manual(1);
+  cfg.worker_pool_bytes = 4096;
+  auto* backend = install(cfg);
+  IncArgs args;
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_EQ(enclave_->ocall(inc_id_, args), CallPath::kSwitchless) << i;
+  }
+  EXPECT_EQ(args.x, 100'000);
+  EXPECT_EQ(backend->stats().pool_resets.load(), 0u);
+  EXPECT_EQ(enclave_->transitions().eexit_count(), 0u);
+}
+
+TEST_F(ZcBackendTest, SmallFramesNeverTouchTheSlab) {
+  ZcConfig cfg = manual(1);
+  cfg.pool = FramePoolKind::kSlab;
+  auto* backend = install(cfg);
+  const auto slab_frames = [&] {
+    return backend->stats().slab_hits.load() +
+           backend->stats().slab_misses.load();
+  };
+  IncArgs args;
+  for (int i = 0; i < 1'000; ++i) {
+    ASSERT_EQ(enclave_->ocall(inc_id_, args), CallPath::kSwitchless);
+  }
+  EXPECT_EQ(slab_frames(), 0u);
+  std::vector<char> payload(kInlineFrameBytes, 'x');
+  EXPECT_EQ(enclave_->ocall_in(inc_id_, args, payload.data(), payload.size()),
+            CallPath::kSwitchless);
+  EXPECT_EQ(slab_frames(), 1u);
+  EXPECT_EQ(args.x, 1'001);
 }
 
 TEST_F(ZcBackendTest, SequentialCallerStaysOnOneWorker) {

@@ -4,6 +4,7 @@
 // shape checks, not the figure reproductions (see bench/ for those).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -60,13 +61,21 @@ TEST_F(EndToEndTest, ZcOutperformsNoSlForShortCalls) {
   run.enclave_threads = 2;
   run.g_pauses = 0;
 
-  const auto t_no_sl = run_synthetic(*enclave_, ids_, run).seconds;
-
   ZcConfig cfg;
   cfg.scheduler_enabled = false;
   cfg.with_initial_workers(2);
-  enclave_->set_backend(std::make_unique<ZcBackend>(*enclave_, cfg));
-  const auto t_zc = run_synthetic(*enclave_, ids_, run).seconds;
+
+  // The best of three interleaved runs per side: in a parallel test suite
+  // a neighbour can take a vCPU from either side's run for many scheduler
+  // rounds, and the fastest run is the one it left alone.
+  double t_no_sl = std::numeric_limits<double>::infinity();
+  double t_zc = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    enclave_->set_backend(nullptr);  // no_sl
+    t_no_sl = std::min(t_no_sl, run_synthetic(*enclave_, ids_, run).seconds);
+    enclave_->set_backend(std::make_unique<ZcBackend>(*enclave_, cfg));
+    t_zc = std::min(t_zc, run_synthetic(*enclave_, ids_, run).seconds);
+  }
 
   // The paper reports 1.22x for kissdb; require any clear win here.
   EXPECT_LT(t_zc, t_no_sl * 0.95)

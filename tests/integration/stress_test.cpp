@@ -58,8 +58,10 @@ class StressTest : public ::testing::Test {
   }
 
   // Hammers the installed backend from `threads` threads; verifies no call
-  // is lost, duplicated, or corrupted.
-  void hammer(unsigned threads, std::uint64_t calls_per_thread) {
+  // is lost, duplicated, or corrupted.  `in_bytes` > 0 sends an [in]
+  // payload of that size with every call.
+  void hammer(unsigned threads, std::uint64_t calls_per_thread,
+              std::size_t in_bytes = 0) {
     total_.store(0, std::memory_order_relaxed);
     std::atomic<std::uint64_t> expected{0};
     std::atomic<int> corrupt{0};
@@ -69,11 +71,16 @@ class StressTest : public ::testing::Test {
         workers.emplace_back([&, t] {
           std::mt19937_64 rng(t);
           std::uint64_t local = 0;
+          const std::vector<char> payload(in_bytes, 'p');
           for (std::uint64_t i = 0; i < calls_per_thread; ++i) {
             SumArgs args;
             args.value = rng() % 1000;
             local += args.value;
-            enclave_->ocall(sum_id_, args);
+            if (in_bytes == 0) {
+              enclave_->ocall(sum_id_, args);
+            } else {
+              enclave_->ocall_in(sum_id_, args, payload.data(), in_bytes);
+            }
             if (args.echoed != args.value) corrupt.fetch_add(1);
           }
           expected.fetch_add(local);
@@ -124,7 +131,9 @@ TEST_F(StressTest, ZcTinyPoolsForceConstantResets) {
   auto backend = std::make_unique<ZcBackend>(*enclave_, cfg);
   auto* raw = backend.get();
   enclave_->set_backend(std::move(backend));
-  hammer(scaled_threads(8), scaled_calls(1'000));
+  // A 128 B payload makes a 176 B frame: too large to travel inline, and
+  // only one fits the pool, so nearly every call resets one.
+  hammer(scaled_threads(8), scaled_calls(1'000), 128);
   EXPECT_GT(raw->stats().pool_resets.load(), 0u);
 }
 

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "apps/kissdb/kissdb.hpp"
+#include "sgx/usyscalls.hpp"
 #include "tlibc/memcpy.hpp"
 
 namespace zc {
@@ -157,6 +159,35 @@ TEST(Marshal, ArgsAreAlignedTo16) {
   alignas(64) std::byte mem[256];
   MarshalledCall call = marshal_into(mem, desc);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(call.args) % 16, 0u);
+}
+
+TEST(Marshal, InlineFrameCapacityHoldsTheSmallHotFrames) {
+  // The frames that travel inline in the hand-off lines: kissdb's hot
+  // fseeko/fread/fwrite with its 8 B keys and values, and the audit log's
+  // 16 B fwrite record.
+  const app::KissDB::Options kissdb;
+  FseekoArgs seek;
+  FreadArgs read;
+  FwriteArgs write;
+  const auto frame = [](auto& args, std::size_t in, std::size_t out) {
+    CallDesc desc;
+    desc.args = &args;
+    desc.args_size = sizeof(args);
+    desc.in_size = in;
+    desc.out_size = out;
+    return frame_bytes(desc);
+  };
+  EXPECT_LE(frame(seek, 0, 0), kInlineFrameBytes);
+  for (const std::size_t n : {kissdb.key_size, kissdb.value_size}) {
+    EXPECT_LE(frame(read, 0, n), kInlineFrameBytes);
+    EXPECT_LE(frame(write, n, 0), kInlineFrameBytes);
+  }
+  EXPECT_LE(frame(write, 16, 0), kInlineFrameBytes);
+  // The inline area keeps the args area's 16-byte alignment.
+  EXPECT_EQ(alignof(InlineFrame) % 16, 0u);
+  EXPECT_FALSE(InlineFrame::fits(kInlineFrameBytes + 1, 1 << 20));
+  EXPECT_FALSE(InlineFrame::fits(64, 63));  // the pool's oversize rule holds
+  EXPECT_TRUE(InlineFrame::fits(kInlineFrameBytes, kInlineFrameBytes));
 }
 
 // --- Scatter-gather payloads -------------------------------------------------
