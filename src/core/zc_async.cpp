@@ -44,6 +44,8 @@ std::atomic<std::uint64_t> g_next_serial{1};
 struct ClaimCursor {
   std::uint64_t serial = 0;  ///< the instance this entry belongs to
   unsigned deal = 0;         ///< home range, modulo the worker count
+  /// The slot this thread last collected, where its next claim starts.
+  std::uint32_t last = FutureHandle::kInline;
 };
 
 // Direct-mapped by serial, so a thread that alternates between backends
@@ -195,12 +197,19 @@ std::uint32_t ZcAsyncBackend::claim(unsigned m) {
     cur.serial = serial_;
     cur.deal = static_cast<unsigned>(
         ticket_.fetch_add(1, std::memory_order_relaxed) % n);
+    cur.last = FutureHandle::kInline;
   }
   const unsigned home = cur.deal < m ? cur.deal : cur.deal % m;
   for (unsigned i = 0; i < m; ++i) {
     const Worker& range = *workers_[(home + i) % m];
-    for (unsigned s = range.lo; s < range.hi; ++s) {
+    // Start at the slot this thread last collected when it lies in this
+    // range: a pipelined caller collects in FIFO order, so that is its one
+    // free slot, and the scan reads none of the busy ones before it.
+    unsigned s =
+        cur.last >= range.lo && cur.last < range.hi ? cur.last : range.lo;
+    for (unsigned k = range.lo; k < range.hi; ++k) {
       if (try_claim(*slots_[s])) return s;
+      if (++s == range.hi) s = range.lo;
     }
   }
   return FutureHandle::kInline;
@@ -343,6 +352,10 @@ CallPath ZcAsyncBackend::collect(FutureHandle h) {
   unmarshal_from(call, slot.desc);
   if (slot.desc.consume_out != nullptr) stats_.copies_elided.add();
   release_slot(slot);
+  // The freed slot is where this thread's next claim starts (a thread
+  // without a cursor on this instance only collects, and leaves it be).
+  ClaimCursor& cur = cursor_entry(serial_);
+  if (cur.serial == serial_) cur.last = h.slot;
   return CallPath::kSwitchless;
 }
 

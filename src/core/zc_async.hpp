@@ -18,7 +18,11 @@
 // home+1.  The home is dealt once per thread from a shared counter and
 // reduced modulo the active worker count, so after the first claim the hot
 // path writes no shared word, and sequential callers get distinct home
-// ranges while there are enough.
+// ranges while there are enough.  The cursor remembers the slot the thread
+// last collected, and the scan of the range holding it starts there: a
+// pipelined caller collects in FIFO order, so its one free slot rotates
+// around the range, and the claim finds it without reading the busy slot
+// lines before it.  A sequential caller gets back the slot it freed.
 //
 // A worker runs its own range's queued slots only when that range's flush
 // gate is open (flush_cause):

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -46,11 +47,76 @@ void SimFs::charge() const noexcept {
   burn_cycles(syscall_cycles_.load(std::memory_order_relaxed));
 }
 
+std::atomic<SimFs::Stream*>* SimFs::HandleTable::entry(
+    std::uint64_t handle) const noexcept {
+  // A handle issued before the last clear(), or a negative fd, wraps to an
+  // index past the table.
+  const std::uint64_t index = handle - base_.load(std::memory_order_relaxed);
+  if (index >= kChunkSize * kChunks) return nullptr;
+  Chunk* chunk = chunks_[index >> kChunkBits].load(std::memory_order_acquire);
+  return chunk == nullptr ? nullptr : &chunk->entries[index & (kChunkSize - 1)];
+}
+
+SimFs::Stream* SimFs::HandleTable::find(std::uint64_t handle) const noexcept {
+  const auto* e = entry(handle);
+  return e == nullptr ? nullptr : e->load(std::memory_order_acquire);
+}
+
+std::uint64_t SimFs::HandleTable::insert(std::unique_ptr<Stream> stream) {
+  const std::uint64_t index = next_ - base_.load(std::memory_order_relaxed);
+  if (index >= kChunkSize * kChunks) return 0;
+  auto& slot = chunks_[index >> kChunkBits];
+  Chunk* chunk = slot.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new Chunk();
+    slot.store(chunk, std::memory_order_release);
+  }
+  owned_.push_back(std::move(stream));
+  chunk->entries[index & (kChunkSize - 1)].store(owned_.back().get(),
+                                                 std::memory_order_release);
+  return next_++;
+}
+
+bool SimFs::HandleTable::erase(std::uint64_t handle) noexcept {
+  auto* e = entry(handle);
+  return e != nullptr && e->exchange(nullptr, std::memory_order_relaxed);
+}
+
+SimFs::HandleTable::~HandleTable() {
+  for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
+}
+
+void SimFs::HandleTable::clear() noexcept {
+  // Keeping the chunks spares the set-up that follows a clear() any
+  // allocation; only the entries issued since the last one are reset.
+  for (auto h = base_.load(std::memory_order_relaxed); h != next_; ++h) {
+    entry(h)->store(nullptr, std::memory_order_relaxed);
+  }
+  owned_.clear();
+  base_.store(next_, std::memory_order_relaxed);
+}
+
+namespace {
+
+// Writes `n` bytes at `pos`, growing the file; only a gap between EOF and
+// `pos` is zero-filled, never bytes the write then overwrites.  The
+// caller holds the file's lock.
+void write_at(std::vector<std::uint8_t>& data, std::size_t pos,
+              const void* src, std::size_t n) {
+  if (pos > data.size()) data.resize(pos);
+  const auto* bytes = static_cast<const std::uint8_t*>(src);
+  const std::size_t overwrite = std::min(n, data.size() - pos);
+  if (overwrite != 0) std::memcpy(data.data() + pos, bytes, overwrite);
+  if (overwrite != n) data.insert(data.end(), bytes + overwrite, bytes + n);
+}
+
+}  // namespace
+
 std::uint64_t SimFs::fopen(const std::string& path, const std::string& mode) {
   charge();
   const bool plus = mode.find('+') != std::string::npos;
   const char kind = mode.empty() ? '\0' : mode[0];
-  auto stream = std::make_shared<Stream>();
+  auto stream = std::make_unique<Stream>();
   stream->readable = kind == 'r' || plus;
   stream->writable = kind == 'w' || kind == 'a' || plus;
   stream->append = kind == 'a';
@@ -76,27 +142,19 @@ std::uint64_t SimFs::fopen(const std::string& path, const std::string& mode) {
   } else {
     return 0;  // unsupported mode
   }
-  const std::uint64_t handle = next_handle_++;
-  streams_[handle] = std::move(stream);
-  return handle;
-}
-
-std::shared_ptr<SimFs::Stream> SimFs::find_stream(std::uint64_t handle) const {
-  std::lock_guard lock(mu_);
-  const auto it = streams_.find(handle);
-  return it == streams_.end() ? nullptr : it->second;
+  return streams_.insert(std::move(stream));
 }
 
 int SimFs::fclose(std::uint64_t handle) {
   charge();
   std::lock_guard lock(mu_);
-  return streams_.erase(handle) != 0 ? 0 : EOF;
+  return streams_.erase(handle) ? 0 : EOF;
 }
 
 std::size_t SimFs::fread(void* dst, std::size_t n, std::uint64_t handle) {
   charge();
   if (take_failure()) return 0;
-  auto stream = find_stream(handle);
+  Stream* stream = streams_.find(handle);
   if (!stream || !stream->readable) return 0;
   std::lock_guard file_lock(stream->file->mu);
   const auto& data = stream->file->data;
@@ -112,20 +170,19 @@ std::size_t SimFs::fwrite(const void* src, std::size_t n,
                           std::uint64_t handle) {
   charge();
   if (take_failure()) return 0;
-  auto stream = find_stream(handle);
+  Stream* stream = streams_.find(handle);
   if (!stream || !stream->writable) return 0;
   std::lock_guard file_lock(stream->file->mu);
   auto& data = stream->file->data;
   if (stream->append) stream->pos = data.size();
-  if (stream->pos + n > data.size()) data.resize(stream->pos + n);
-  std::memcpy(data.data() + stream->pos, src, n);
+  write_at(data, stream->pos, src, n);
   stream->pos += n;
   return n;
 }
 
 int SimFs::fseeko(std::uint64_t handle, std::int64_t offset, int whence) {
   charge();
-  auto stream = find_stream(handle);
+  Stream* stream = streams_.find(handle);
   if (!stream) return -1;
   std::lock_guard file_lock(stream->file->mu);
   std::int64_t base = 0;
@@ -150,19 +207,20 @@ int SimFs::fseeko(std::uint64_t handle, std::int64_t offset, int whence) {
 
 std::int64_t SimFs::ftello(std::uint64_t handle) {
   charge();
-  auto stream = find_stream(handle);
+  Stream* stream = streams_.find(handle);
   if (!stream) return -1;
+  std::lock_guard file_lock(stream->file->mu);
   return static_cast<std::int64_t>(stream->pos);
 }
 
 int SimFs::fflush(std::uint64_t handle) {
   charge();
-  return find_stream(handle) ? 0 : EOF;
+  return streams_.find(handle) ? 0 : EOF;
 }
 
 int SimFs::open(const std::string& path, int flags) {
   charge();
-  auto stream = std::make_shared<Stream>();
+  auto stream = std::make_unique<Stream>();
   const int access = flags & O_ACCMODE;
   stream->readable = access == O_RDONLY || access == O_RDWR;
   stream->writable = access == O_WRONLY || access == O_RDWR;
@@ -184,28 +242,21 @@ int SimFs::open(const std::string& path, int flags) {
       stream->file->data.clear();
     }
   }
-  const int fd = next_fd_++;
-  fds_[fd] = std::move(stream);
-  return fd;
+  const std::uint64_t fd = fds_.insert(std::move(stream));
+  return fd == 0 ? -1 : static_cast<int>(fd);
 }
 
 int SimFs::close(int fd) {
   charge();
   std::lock_guard lock(mu_);
-  return fds_.erase(fd) != 0 ? 0 : -1;
+  return fds_.erase(static_cast<std::uint64_t>(fd)) ? 0 : -1;
 }
 
 std::int64_t SimFs::read(int fd, void* buf, std::size_t n) {
   charge();
   if (take_failure()) return -1;
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) return -1;
-    stream = it->second;
-  }
-  if (!stream->readable) return -1;
+  Stream* stream = fds_.find(static_cast<std::uint64_t>(fd));
+  if (!stream || !stream->readable) return -1;
   switch (stream->dev) {
     case DevKind::kZero:
       std::memset(buf, 0, n);
@@ -228,14 +279,8 @@ std::int64_t SimFs::read(int fd, void* buf, std::size_t n) {
 std::int64_t SimFs::write(int fd, const void* buf, std::size_t n) {
   charge();
   if (take_failure()) return -1;
-  std::shared_ptr<Stream> stream;
-  {
-    std::lock_guard lock(mu_);
-    const auto it = fds_.find(fd);
-    if (it == fds_.end()) return -1;
-    stream = it->second;
-  }
-  if (!stream->writable) return -1;
+  Stream* stream = fds_.find(static_cast<std::uint64_t>(fd));
+  if (!stream || !stream->writable) return -1;
   switch (stream->dev) {
     case DevKind::kZero:
       return static_cast<std::int64_t>(n);
@@ -243,9 +288,7 @@ std::int64_t SimFs::write(int fd, const void* buf, std::size_t n) {
       return static_cast<std::int64_t>(n);  // discard
     case DevKind::kFile: {
       std::lock_guard file_lock(stream->file->mu);
-      auto& data = stream->file->data;
-      if (stream->pos + n > data.size()) data.resize(stream->pos + n);
-      std::memcpy(data.data() + stream->pos, buf, n);
+      write_at(stream->file->data, stream->pos, buf, n);
       stream->pos += n;
       return static_cast<std::int64_t>(n);
     }

@@ -13,6 +13,7 @@
 // it runs on whatever thread executes the ocall handler.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -63,7 +64,8 @@ class SimFs {
   bool exists(const std::string& path) const;
   std::size_t file_size(const std::string& path) const;
   void remove(const std::string& path);
-  /// Drops all files and open handles (benchmark teardown).
+  /// Drops all files and handles, open or closed (benchmark teardown).
+  /// No other SimFs call may be in flight.
   void clear();
 
  private:
@@ -74,24 +76,67 @@ class SimFs {
   enum class DevKind { kFile, kZero, kNull };
   struct Stream {
     std::shared_ptr<File> file;
-    std::size_t pos = 0;
+    std::size_t pos = 0;  ///< guarded by file->mu
     bool readable = false;
     bool writable = false;
     bool append = false;
     DevKind dev = DevKind::kFile;
   };
 
+  /// Handle -> Stream, looked up without a lock.  A lazily allocated
+  /// two-level array of atomic Stream pointers indexed by the handle's
+  /// distance from the first handle issued since the last clear():
+  /// lookups are two acquire loads, and writes (insert/erase, under
+  /// SimFs::mu_) touch only the entry's own line.  Handles are never
+  /// reused.  Erasing nulls the entry but keeps the Stream until clear(),
+  /// so an op that raced its close still reads live memory: streams are
+  /// bounded by those opened since the last clear(), and chunks by the
+  /// most handles issued between two clear()s.  It holds 2^24 handles
+  /// between clear()s; past that, opens fail.
+  class HandleTable {
+   public:
+    explicit HandleTable(std::uint64_t first) : next_(first), base_(first) {}
+    ~HandleTable();
+    HandleTable(const HandleTable&) = delete;
+    HandleTable& operator=(const HandleTable&) = delete;
+
+    /// The open stream behind `handle`, or nullptr (closed or unknown).
+    Stream* find(std::uint64_t handle) const noexcept;
+    /// Registers `stream` under the next handle; 0 once the table is full.
+    std::uint64_t insert(std::unique_ptr<Stream> stream);
+    /// Closes `handle`; false when it was not open.
+    bool erase(std::uint64_t handle) noexcept;
+    /// Forgets every handle and frees every stream, open or closed; the
+    /// chunks stay for the next handles.  No op may be in flight.
+    void clear() noexcept;
+
+   private:
+    static constexpr unsigned kChunkBits = 12;
+    static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+    static constexpr std::size_t kChunks = std::size_t{1} << 12;
+    struct Chunk {
+      std::array<std::atomic<Stream*>, kChunkSize> entries{};
+    };
+    std::atomic<Stream*>* entry(std::uint64_t handle) const noexcept;
+
+    std::array<std::atomic<Chunk*>, kChunks> chunks_{};
+    std::vector<std::unique_ptr<Stream>> owned_;  ///< open and closed
+    std::uint64_t next_;  ///< the next handle to issue
+    /// The first handle issued since the last clear(); entry 0.
+    std::atomic<std::uint64_t> base_;
+  };
+
   SimFs() = default;
   void charge() const noexcept;
   bool take_failure() noexcept;
-  std::shared_ptr<Stream> find_stream(std::uint64_t handle) const;
 
-  mutable std::mutex mu_;  // registry only (paths + handle tables)
+  // Registry only: the path table, and opening and closing handles.  The
+  // per-op handle lookups never take it, and the data ops serialise only
+  // on the file they touch (File::mu).
+  mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<File>> files_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
-  std::unordered_map<int, std::shared_ptr<Stream>> fds_;
-  std::uint64_t next_handle_ = 1;
-  int next_fd_ = 1'000;
+  HandleTable streams_{1};
+  HandleTable fds_{1'000};
   std::atomic<std::uint64_t> syscall_cycles_{250};  ///< read lock-free
   std::atomic<std::uint64_t> failures_left_{0};
 };

@@ -790,6 +790,48 @@ TEST_F(ZcAsyncTest, SequentialCallerReusesTheSlotItsLastCollectFreed) {
   }
 }
 
+TEST_F(ZcAsyncTest, PipelinedCallerClaimsTheSlotItLastCollected) {
+  // One caller keeps a whole 4-slot range in flight and collects in FIFO
+  // order: each submit after a wait() lands on the slot that wait() freed.
+  ZcAsyncConfig cfg = fixed_workers();
+  cfg.workers = 2;
+  cfg.queue = 8;
+  auto* backend = install(cfg);
+
+  constexpr unsigned kDepth = 4;
+  std::array<EchoArgs, kDepth> ring{};
+  std::array<CallFuture, kDepth> futures;
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    const std::size_t k = i % kDepth;
+    std::uint32_t freed = FutureHandle::kInline;
+    if (futures[k].valid()) {
+      freed = futures[k].handle().slot;
+      ASSERT_EQ(futures[k].wait(), CallPath::kSwitchless) << i;
+      ASSERT_EQ(ring[k].out, ring[k].in + 1) << i;
+    }
+    ring[k].in = i;
+    futures[k] = backend->submit(echo_desc(ring[k]));
+    ASSERT_NE(futures[k].handle().slot, FutureHandle::kInline) << i;
+    if (freed != FutureHandle::kInline) {
+      ASSERT_EQ(futures[k].handle().slot, freed) << i;
+    }
+  }
+  // With the whole range free, the next claim still starts at the slot
+  // collected last, not at the range's first slot.
+  std::uint32_t last = FutureHandle::kInline;
+  for (std::size_t j = 0; j < kDepth; ++j) {
+    auto& future = futures[(400 + j) % kDepth];
+    last = future.handle().slot;
+    future.wait();
+  }
+  EXPECT_NE(last % kDepth, 0u);
+  EchoArgs args;
+  CallFuture next = backend->submit(echo_desc(args));
+  EXPECT_EQ(next.handle().slot, last);
+  EXPECT_EQ(next.wait(), CallPath::kSwitchless);
+  EXPECT_EQ(backend->stats().fallback_calls.load(), 0u);
+}
+
 TEST_F(ZcAsyncTest, PipelinedCallersStayInTheirHomeRanges) {
   // Two callers, four futures each, on two 4-slot ranges: each keeps to
   // its own home range, and the two homes differ.

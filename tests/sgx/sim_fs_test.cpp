@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -92,6 +93,22 @@ TEST_F(SimFsTest, WriteBeyondEofZeroFills) {
   fs().fclose(h);
 }
 
+TEST_F(SimFsTest, WriteAcrossEofOverwritesThenExtends) {
+  const auto h = fs().fopen("f", "w+b");
+  EXPECT_EQ(fs().fwrite("abcdef", 6, h), 6u);
+  fs().fseeko(h, 2, SEEK_SET);
+  EXPECT_EQ(fs().fwrite("XY", 2, h), 2u);  // wholly inside the file
+  EXPECT_EQ(fs().file_size("f"), 6u);
+  fs().fseeko(h, 4, SEEK_SET);
+  EXPECT_EQ(fs().fwrite("1234", 4, h), 4u);  // straddles EOF
+  EXPECT_EQ(fs().ftello(h), 8);
+  fs().fseeko(h, 0, SEEK_SET);
+  char buf[8];
+  EXPECT_EQ(fs().fread(buf, 8, h), 8u);
+  EXPECT_EQ(std::string(buf, 8), "abXY1234");
+  fs().fclose(h);
+}
+
 TEST_F(SimFsTest, AppendModeAlwaysWritesAtEnd) {
   const auto h1 = fs().fopen("f", "wb");
   fs().fwrite("head", 4, h1);
@@ -172,9 +189,29 @@ TEST_F(SimFsTest, BadFdAndBadHandleFail) {
   EXPECT_EQ(fs().read(12345, buf, 1), -1);
   EXPECT_EQ(fs().write(12345, buf, 1), -1);
   EXPECT_EQ(fs().close(12345), -1);
+  EXPECT_EQ(fs().read(-1, buf, 1), -1);
+  EXPECT_EQ(fs().close(-1), -1);
   EXPECT_EQ(fs().fread(buf, 1, 999), 0u);
   EXPECT_EQ(fs().fseeko(999, 0, SEEK_SET), -1);
   EXPECT_EQ(fs().ftello(999), -1);
+}
+
+TEST_F(SimFsTest, HandlesAreNeverReusedAcrossClear) {
+  const auto h = fs().fopen("f", "wb");
+  const int fd = fs().open("/dev/zero", O_RDONLY);
+  fs().clear();
+  const auto h2 = fs().fopen("f", "wb");
+  const int fd2 = fs().open("/dev/zero", O_RDONLY);
+  EXPECT_GT(h2, h);
+  EXPECT_GT(fd2, fd);
+  char buf[1];
+  EXPECT_EQ(fs().fwrite("x", 1, h), 0u);
+  EXPECT_EQ(fs().ftello(h), -1);
+  EXPECT_EQ(fs().fclose(h), EOF);
+  EXPECT_EQ(fs().read(fd, buf, 1), -1);
+  EXPECT_EQ(fs().close(fd), -1);
+  EXPECT_EQ(fs().fclose(h2), 0);
+  EXPECT_EQ(fs().close(fd2), 0);
 }
 
 TEST_F(SimFsTest, RemoveAndClear) {
@@ -233,6 +270,84 @@ TEST_F(SimFsTest, ConcurrentWritersOnDistinctFiles) {
   for (int t = 0; t < 8; ++t) {
     EXPECT_EQ(fs().file_size("file" + std::to_string(t)),
               500 * sizeof(int));
+  }
+}
+
+TEST_F(SimFsTest, IoOnOwnHandlesRacesOpenCloseChurn) {
+  // The per-op lookups take no registry lock: I/O threads on their own
+  // handles, a thread opening and closing handles, and a prober that
+  // races every close with ops on the handle being closed.  Under ASan
+  // and TSan this proves a racing op never touches freed memory.
+  constexpr int kIoThreads = 3;
+  constexpr int kIterations = 2'000;
+  std::atomic<int> io_done{0};
+  std::atomic<std::uint64_t> latest{0};
+  std::atomic<int> failures{0};
+  std::vector<std::jthread> threads;
+  for (int t = 0; t < kIoThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto h = fs().fopen("io" + std::to_string(t), "w+b");
+      const int fd = fs().open("/dev/zero", O_RDONLY);
+      for (int i = 0; i < kIterations; ++i) {
+        const std::uint64_t word = std::uint64_t(t) << 32 | i;
+        std::uint64_t back = 0;
+        std::uint64_t zero = ~0ULL;
+        if (fs().fseeko(h, 0, SEEK_SET) != 0 ||
+            fs().fwrite(&word, 8, h) != 8 || fs().ftello(h) != 8 ||
+            fs().fseeko(h, 0, SEEK_SET) != 0 || fs().fread(&back, 8, h) != 8 ||
+            back != word || fs().fflush(h) != 0 ||
+            fs().read(fd, &zero, 8) != 8 || zero != 0) {
+          failures++;
+        }
+      }
+      if (fs().fclose(h) != 0 || fs().close(fd) != 0) failures++;
+      io_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  threads.emplace_back([&] {
+    std::uint64_t handle = 0;
+    char buf[4];
+    while (io_done.load(std::memory_order_acquire) < kIoThreads) {
+      handle = latest.load(std::memory_order_acquire);
+      if (handle == 0) continue;
+      // Open or just closed: either a result or the closed-handle error.
+      const std::int64_t pos = fs().ftello(handle);
+      const std::size_t wrote = fs().fwrite("p", 1, handle);
+      const std::size_t read = fs().fread(buf, sizeof(buf), handle);
+      if (pos < -1 || wrote > 1 || read > sizeof(buf)) failures++;
+    }
+  });
+  std::vector<std::uint64_t> handles;
+  std::vector<int> fds;
+  while (io_done.load(std::memory_order_acquire) < kIoThreads) {
+    const auto h = fs().fopen("churn", "w+b");
+    const int fd = fs().open("/dev/null", O_WRONLY);
+    ASSERT_NE(h, 0u);
+    ASSERT_GE(fd, 0);
+    handles.push_back(h);
+    fds.push_back(fd);
+    latest.store(h, std::memory_order_release);
+    EXPECT_EQ(fs().fwrite("churn", 5, h), 5u);
+    EXPECT_EQ(fs().write(fd, "x", 1), 1);
+    ASSERT_EQ(fs().fclose(h), 0);
+    ASSERT_EQ(fs().close(fd), 0);
+    char buf[1];
+    EXPECT_EQ(fs().fread(buf, 1, h), 0u);
+    EXPECT_EQ(fs().fwrite("x", 1, h), 0u);
+    EXPECT_EQ(fs().fseeko(h, 0, SEEK_SET), -1);
+    EXPECT_EQ(fs().ftello(h), -1);
+    EXPECT_EQ(fs().fflush(h), EOF);
+    EXPECT_EQ(fs().fclose(h), EOF);
+    EXPECT_EQ(fs().write(fd, "x", 1), -1);
+    EXPECT_EQ(fs().close(fd), -1);
+  }
+  threads.clear();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_FALSE(handles.empty());
+  // Issued in increasing order, so no number repeats.
+  for (std::size_t i = 1; i < handles.size(); ++i) {
+    ASSERT_GT(handles[i], handles[i - 1]);
+    ASSERT_GT(fds[i], fds[i - 1]);
   }
 }
 
