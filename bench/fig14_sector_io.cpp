@@ -55,39 +55,30 @@ PassResult pass_result(std::uint64_t bytes, std::uint64_t ns,
   return r;
 }
 
-// Satellite: one JSONL stats row per backend layer (plus the rolled-up
-// total), so per-shard slab/copy counters land next to the throughput rows.
-void add_stats_rows(bench::JsonRows& json, const CallBackend& backend,
-                    const std::string& spec, std::size_t sector,
-                    tlibc::MemcpyKind kind) {
-  const auto add = [&](const BackendStatsSnapshot& s, const char* layer,
-                       std::uint64_t index) {
-    json.add(bench::JsonRow()
-                 .set("figure", "fig14")
-                 .set("row", "stats")
-                 .set("spec", spec)
-                 .set("sector_bytes", static_cast<std::uint64_t>(sector))
-                 .set("memcpy", tlibc::to_string(kind))
-                 .set("layer", layer)
-                 .set("layer_index", index)
-                 .set("regular_calls", s.regular_calls)
-                 .set("switchless_calls", s.switchless_calls)
-                 .set("fallback_calls", s.fallback_calls)
-                 .set("fallback_no_worker", s.fallback_no_worker)
-                 .set("fallback_busy", s.fallback_busy)
-                 .set("fallback_oversize", s.fallback_oversize)
-                 .set("batch_flushes", s.batch_flushes)
-                 .set("wake_batches", s.wake_batches)
-                 .set("steals", s.steals)
-                 .set("slab_hits", s.slab_hits)
-                 .set("slab_misses", s.slab_misses)
-                 .set("slab_grows", s.slab_grows)
-                 .set("copies_elided", s.copies_elided));
-  };
-  add(backend.stats_snapshot(), "total", 0);
-  for (unsigned i = 0; i < backend.layer_count(); ++i) {
-    add(backend.layer_snapshot(i), backend.layer_name(i), i);
-  }
+// One JSONL stats row per cell, so the slab/copy counters land next to
+// the throughput rows.
+void add_stats_row(bench::JsonRows& json, const CallBackend& backend,
+                   const std::string& spec, std::size_t sector,
+                   tlibc::MemcpyKind kind) {
+  const BackendStatsSnapshot s = backend.stats_snapshot();
+  json.add(bench::JsonRow()
+               .set("figure", "fig14")
+               .set("row", "stats")
+               .set("spec", spec)
+               .set("sector_bytes", static_cast<std::uint64_t>(sector))
+               .set("memcpy", tlibc::to_string(kind))
+               .set("regular_calls", s.regular_calls)
+               .set("switchless_calls", s.switchless_calls)
+               .set("fallback_calls", s.fallback_calls)
+               .set("fallback_no_worker", s.fallback_no_worker)
+               .set("fallback_busy", s.fallback_busy)
+               .set("fallback_oversize", s.fallback_oversize)
+               .set("batch_flushes", s.batch_flushes)
+               .set("wake_batches", s.wake_batches)
+               .set("slab_hits", s.slab_hits)
+               .set("slab_misses", s.slab_misses)
+               .set("slab_grows", s.slab_grows)
+               .set("copies_elided", s.copies_elided));
 }
 
 }  // namespace
@@ -211,7 +202,7 @@ int main(int argc, char** argv) try {
                      .set("write_cycles_per_byte", wr.cycles_per_byte)
                      .set("read_cycles_per_byte", rd.cycles_per_byte)
                      .set("ok", static_cast<std::uint64_t>(ok ? 1 : 0)));
-        add_stats_rows(json, backend, spec, size, kind);
+        add_stats_row(json, backend, spec, size, kind);
       }
     }
   }

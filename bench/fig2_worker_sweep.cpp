@@ -8,7 +8,7 @@
 //
 // With --backend=SPEC (repeatable) the bench instead runs the same f/g
 // workload through each given registry spec — the sweep dimension then
-// lives in the spec itself (e.g. zc_sharded:shards=4), so every
+// lives in the spec itself (e.g. zc:workers=4), so every
 // registered backend is reachable from this figure driver.  Spec mode
 // additionally accepts --pipeline=D to drive a slotted-plane backend
 // (zc_async or zc_batched) with D in-flight calls per enclave thread.

@@ -12,17 +12,16 @@
 // direction-aware (direction=ecall specs exercise the trusted-function
 // plane) — so new backends are measurable here without code changes:
 //
-//   bench_micro_callpath --backend=zc_sharded:shards=4 ...
+//   bench_micro_callpath --backend=zc:workers=4 ...
 //                        --backend=zc_batched:batch=8,flush_us=50
 //
 // --pipeline=D drives the spec lane through the async call plane with D
 // in-flight calls per iteration window (requires a slotted-plane spec:
 // zc_async or zc_batched).  --skew=zipf switches the spec lane from the
-// single-caller no-op loop to the synthetic f/g workload with caller
-// threads at 2-shard capacity (kSkewCallers) whose g durations are
-// zipf-ranked (thread 0 heaviest) — the skewed mix that separates
-// load-aware shard routing (zc_sharded:policy=least_loaded, steal=on)
-// from count-blind policies.
+// single-caller no-op loop to the synthetic f/g workload with as many
+// caller threads as a 2-worker spec has workers (kSkewCallers), whose g
+// durations are zipf-ranked (a seeded caller heaviest): one caller's long
+// calls keep a worker busy while the other's short calls look for one.
 // --json=FILE persists one JSONL row per spec-lane benchmark, keyed by
 // the canonical spec, like the figure sweeps.
 #include <benchmark/benchmark.h>
@@ -66,7 +65,6 @@ struct SpecRow {
   double seconds = 0;
   std::uint64_t switchless = 0;
   std::uint64_t fallbacks = 0;
-  std::uint64_t steals = 0;
   std::uint64_t seed = 0;  ///< effective run seed (zipf caller placement)
 };
 std::map<std::string, SpecRow>& spec_rows() {
@@ -108,8 +106,8 @@ unsigned g_pipeline = 1;
 workload::CallerSkew g_skew = workload::CallerSkew::kUniform;
 std::uint64_t g_seed = 0;  ///< --seed=N; 0 draws fresh (reported per row)
 
-// The --skew lane's regime (see BM_BackendSpec): callers at 2-shard
-// capacity, g durations that keep a shard's worker busy for several
+// The --skew lane's regime (see BM_BackendSpec): callers at 2-worker
+// capacity, g durations that keep a worker busy for several
 // hand-off periods, and a transition cost safely above the measured
 // hand-off cost of narrow CI hosts so the simulated economics
 // (fallback transition >> switchless hand-off) hold everywhere.
@@ -408,16 +406,15 @@ void BM_BackendSpec(benchmark::State& state, const std::string& spec_text,
     if (skewed) {
       // Zipf-skewed multi-caller lane: each iteration runs one batch of
       // the synthetic f/g workload (f,f,f,g per caller; g durations
-      // zipf-ranked by caller index, caller 0 heaviest), timed between
+      // zipf-ranked through a seeded caller permutation), timed between
       // the run barriers.  The regime is the one the paper's premise
       // (transition >> hand-off) needs to hold even on 1-2 core CI
       // hosts, where an inflated per-hand-off cost would otherwise
-      // drown the routing signal: heavy in-call durations and a high
-      // simulated Tes (see kSkew* below; both are recorded in the JSONL
-      // row).  Demand sits at shard capacity — pair it with specs like
-      // zc_sharded:shards=2;workers=1 — so count-blind routing keeps
-      // colliding with the zipf-stalled shard while least_loaded routes
-      // around it and steal=on converts the remaining collisions.
+      // drown the worker-selection signal: heavy in-call durations and a
+      // high simulated Tes (see kSkew* below; both are recorded in the JSONL
+      // row).  Demand sits at worker capacity — pair it with 2-worker
+      // specs like zc:workers=2;scheduler=off — so a caller that finds
+      // the zipf-stalled worker busy must find the other or fall back.
       workload::SyntheticRunConfig run;
       run.total_calls = kSkewCallsPerBatch;
       run.enclave_threads = kSkewCallers;
@@ -429,7 +426,6 @@ void BM_BackendSpec(benchmark::State& state, const std::string& spec_text,
       const BackendStats& bs = f.enclave->backend().stats();
       const std::uint64_t sl0 = bs.switchless_calls.load();
       const std::uint64_t fb0 = bs.fallback_calls.load();
-      const std::uint64_t st0 = bs.steals.load();
       double seconds = 0;
       std::uint64_t calls = 0;
       std::uint64_t seed = 0;
@@ -452,7 +448,6 @@ void BM_BackendSpec(benchmark::State& state, const std::string& spec_text,
       row.seconds = seconds;
       row.switchless = bs.switchless_calls.load() - sl0;
       row.fallbacks = bs.fallback_calls.load() - fb0;
-      row.steals = bs.steals.load() - st0;
       row.seed = seed;
       spec_rows()[row.backend] = row;
       return;
@@ -509,7 +504,6 @@ void BM_BackendSpec(benchmark::State& state, const std::string& spec_text,
                                    : f.enclave->backend().stats();
     row.switchless = bs.switchless_calls.load();
     row.fallbacks = bs.fallback_calls.load();
-    row.steals = bs.steals.load();
     spec_rows()[row.backend] = row;
   } catch (const BackendSpecError& e) {
     state.SkipWithError(e.what());
@@ -610,7 +604,6 @@ int main(int argc, char** argv) {
                  .set("ns_per_call", per_call * 1e9)
                  .set("switchless", row.switchless)
                  .set("fallbacks", row.fallbacks)
-                 .set("steals", row.steals)
                  .str()
           << '\n';
     }

@@ -10,7 +10,7 @@
 //
 //   bench_replay_ab --synth=burst --backend=no_sl --backend="zc:workers=2"
 //   bench_replay_ab --trace=/tmp/fig8.trace --mode=open --time-scale=0.5
-//       --backend="zc_sharded:shards=2" --json=replay.jsonl
+//       --backend="zc_async:workers=2" --json=replay.jsonl
 #include <cstring>
 #include <iostream>
 #include <string>

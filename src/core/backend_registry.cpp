@@ -10,7 +10,6 @@
 #include "core/recording_backend.hpp"
 #include "core/zc_async.hpp"
 #include "core/zc_backend.hpp"
-#include "core/zc_sharded.hpp"
 #include "hotcalls/hotcalls.hpp"
 #include "intel_sl/intel_backend.hpp"
 #include "sgx/enclave.hpp"
@@ -374,27 +373,26 @@ std::unique_ptr<CallBackend> build_no_sl(Enclave& enclave,
   return std::make_unique<RegularBackend>(enclave);
 }
 
-// Shared option parsing for the ZC family (`zc` itself and the per-shard
-// config of `zc_sharded`); `key` prefixes error messages.
-ZcConfig zc_config_from_spec(Enclave& enclave, const BackendSpec& spec,
-                             CpuUsageMeter* meter, const std::string& key) {
+std::unique_ptr<CallBackend> build_zc(Enclave& enclave,
+                                      const BackendSpec& spec,
+                                      CpuUsageMeter* meter) {
   ZcConfig cfg;
   cfg.meter = meter;
   cfg.direction = parse_direction(spec);
   const std::uint64_t quantum_us = spec.get_u64(
       "quantum_us", static_cast<std::uint64_t>(cfg.quantum.count()));
   if (quantum_us == 0) {
-    throw BackendSpecError(key + ": quantum_us must be > 0");
+    throw BackendSpecError("zc: quantum_us must be > 0");
   }
   cfg.quantum = std::chrono::microseconds(quantum_us);
   cfg.mu = spec.get_double("mu", cfg.mu);
   if (cfg.mu <= 0.0 || cfg.mu > 1.0) {
-    throw BackendSpecError(key + ": mu must be in (0, 1]");
+    throw BackendSpecError("zc: mu must be in (0, 1]");
   }
   cfg.max_workers = spec.get_unsigned("max_workers", cfg.max_workers);
   cfg.worker_pool_bytes = spec.get_u64("pool_bytes", cfg.worker_pool_bytes);
   if (cfg.worker_pool_bytes == 0) {
-    throw BackendSpecError(key + ": pool_bytes must be > 0");
+    throw BackendSpecError("zc: pool_bytes must be > 0");
   }
   cfg.scheduler_enabled = spec.get_bool("scheduler", cfg.scheduler_enabled);
   // Caller-side wait policy, uniform across the ZC family: bounded spin
@@ -416,92 +414,7 @@ ZcConfig zc_config_from_spec(Enclave& enclave, const BackendSpec& spec,
       cfg.max_workers = w;
     }
   }
-  return cfg;
-}
-
-std::unique_ptr<CallBackend> build_zc(Enclave& enclave,
-                                      const BackendSpec& spec,
-                                      CpuUsageMeter* meter) {
-  return make_zc_backend(enclave,
-                         zc_config_from_spec(enclave, spec, meter, "zc"));
-}
-
-// The `zc` worker-plane options, parsed by zc_config_from_spec.  One
-// table feeds three places so they cannot drift: the `zc` registry
-// entry, the `zc_sharded` entry (where they configure the default
-// inner=(zc) per shard), and the flat-vs-explicit-inner conflict check
-// in build_zc_sharded.
-constexpr const char* kZcWorkerPlaneOptions[] = {
-    "workers", "max_workers", "quantum_us", "mu",
-    "pool_bytes", "scheduler", "spin_us", "wait", "pool", "copy"};
-
-// Registry option list = the worker-plane table plus entry-specific names.
-std::vector<std::string> with_zc_worker_plane_options(
-    std::initializer_list<const char*> extra) {
-  std::vector<std::string> out;
-  for (const char* name : kZcWorkerPlaneOptions) out.emplace_back(name);
-  for (const char* name : extra) out.emplace_back(name);
-  return out;
-}
-
-std::unique_ptr<CallBackend> build_zc_sharded(Enclave& enclave,
-                                              const BackendSpec& spec,
-                                              CpuUsageMeter* meter) {
-  ZcShardedConfig cfg;
-  cfg.shards = spec.get_unsigned("shards", cfg.shards);
-  if (cfg.shards == 0) {
-    throw BackendSpecError("zc_sharded: shards must be > 0");
-  }
-  const std::string policy = spec.get_string("policy", "round_robin");
-  if (policy == "round_robin") {
-    cfg.policy = ShardPolicy::kRoundRobin;
-  } else if (policy == "least_loaded") {
-    cfg.policy = ShardPolicy::kLeastLoaded;
-  } else {
-    bad_value("policy", policy, "round_robin/least_loaded");
-  }
-  cfg.steal = spec.get_bool("steal", cfg.steal);
-  const CallDirection direction = parse_direction(spec);
-  cfg.direction = direction;
-  if (spec.has("inner")) {
-    // Composition: every shard is built from the nested spec through the
-    // registry itself, so any registered family becomes shardable.
-    for (const char* flat : kZcWorkerPlaneOptions) {
-      if (spec.has(flat)) {
-        throw BackendSpecError(
-            std::string("zc_sharded: option '") + flat +
-            "' configures the default inner=(zc); with an explicit inner= "
-            "spec it belongs inside the parentheses");
-      }
-    }
-    BackendSpec inner = BackendSpec::parse(spec.get_string("inner", ""));
-    if (inner.has("direction")) {
-      throw BackendSpecError(
-          "zc_sharded: direction belongs to the outer spec; the inner "
-          "backend inherits it");
-    }
-    if (direction == CallDirection::kEcall) {
-      inner.options.push_back({"direction", {"ecall"}});
-      try {
-        // The inner spec as written has already been validated; only the
-        // inherited direction can fail here.  Report that in the user's
-        // terms instead of blaming an option they never wrote.
-        BackendRegistry::instance().validate(inner.to_string());
-      } catch (const BackendSpecError&) {
-        throw BackendSpecError(
-            "zc_sharded: direction=ecall needs an inner family with a "
-            "trusted-worker plane; '" + inner.key +
-            "' does not take direction");
-      }
-    }
-    cfg.inner_key = inner.key;
-    cfg.make_shard = [inner, meter](Enclave& e) {
-      return BackendRegistry::instance().create(e, inner, meter);
-    };
-  } else {
-    cfg.shard = zc_config_from_spec(enclave, spec, meter, "zc_sharded");
-  }
-  return make_zc_sharded_backend(enclave, std::move(cfg));
+  return make_zc_backend(enclave, std::move(cfg));
 }
 
 // The slotted plane's options shared by both of its keys (value errors
@@ -646,9 +559,8 @@ std::unique_ptr<CallBackend> build_intel(Enclave& enclave,
 
 // The trace-recording tap: wraps the inner= backend (default no_sl) in a
 // RecordingBackend so any run's boundary traffic can be captured for the
-// replay plane (workload/replay.hpp).  Shares the sharded router's inner=
-// composition rules: the nested spec inherits the outer direction and must
-// not spell its own.
+// replay plane (workload/replay.hpp).  The nested spec inherits the outer
+// direction and must not spell its own.
 std::unique_ptr<CallBackend> build_record(Enclave& enclave,
                                           const BackendSpec& spec,
                                           CpuUsageMeter* meter) {
@@ -715,15 +627,9 @@ BackendRegistry& BackendRegistry::instance() {
          {"workers", "frame_bytes"}, build_hotcalls});
     r->register_backend(
         {"zc", "ZC-Switchless: configless adaptive workers",
-         with_zc_worker_plane_options({"direction"}), build_zc});
-    r->register_backend(
-        {"zc_sharded",
-         "switchless router over N independent shards (any leaf inner= "
-         "backend; per-shard schedulers, load-aware routing, optional "
-         "stealing)",
-         with_zc_worker_plane_options(
-             {"shards", "policy", "steal", "inner", "direction"}),
-         build_zc_sharded});
+         {"workers", "max_workers", "quantum_us", "mu", "pool_bytes",
+          "scheduler", "spin_us", "wait", "pool", "copy", "direction"},
+         build_zc});
     r->register_backend(
         {"zc_batched",
          "the slotted plane with per-worker ranges of batch=K slots, "
@@ -796,16 +702,7 @@ const BackendRegistry::Entry& BackendRegistry::entry_for(
             throw BackendSpecError(
                 "option 'inner' expects a single parenthesised spec");
           }
-          const BackendSpec inner = BackendSpec::parse(opt.values.front());
-          // A shard is a leaf: the router never routes to a router.
-          if (spec.key == "zc_sharded" &&
-              (inner.key == "zc_sharded" || inner.has("inner"))) {
-            throw BackendSpecError(
-                "spec '" + spec.to_string() +
-                "': a zc_sharded shard is a leaf; its inner= spec may not be "
-                "zc_sharded or carry inner=");
-          }
-          entry_for(inner);
+          entry_for(BackendSpec::parse(opt.values.front()));
         }
       }
       return entry;
@@ -836,14 +733,12 @@ std::string BackendRegistry::help() const {
       "  e.g. \"no_sl\", \"zc:workers=4,quantum_us=10000\",\n"
       "       \"intel:sl=read,write;workers=2;rbf=20000\",\n"
       "       \"hotcalls:workers=2\",\n"
-      "       \"zc_sharded:shards=4;policy=least_loaded;steal=on\",\n"
-      "       \"zc_sharded:shards=2;inner=(zc_batched:batch=8)\",\n"
       "       \"zc_batched:workers=2;batch=8;flush_us=100;spin_us=0\",\n"
-      "       \"zc_async:workers=2;queue=16\"\n"
+      "       \"zc_async:workers=2;queue=16\",\n"
+      "       \"record:file=run.trace;inner=(zc_async:workers=2)\"\n"
       "  direction=ecall installs the backend on the trusted-function\n"
       "  (ecall) plane where supported.  inner=(...) nests a whole spec:\n"
-      "  the sharded router builds every shard from it (a leaf spec:\n"
-      "  not zc_sharded, no inner= of its own).\n"
+      "  the record tap wraps the backend it names.\n"
       "  wait= picks the blocked-caller policy (spin/yield/futex/condvar)\n"
       "  once the spin_us budget expires.  pool=slab swaps the bump frame\n"
       "  pools for a shared size-classed slab; copy=single advertises the\n"

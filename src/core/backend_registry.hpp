@@ -4,9 +4,8 @@
 // The registry makes backend selection data, not code: a spec string names
 // a backend key plus typed options, and the registry builds a started-ready
 // CallBackend from it.  All benches, examples and the workload harness
-// select backends exclusively through this seam, so new backends (sharded,
-// batched, remote, ...) become reachable from every experiment by
-// registering one builder.
+// select backends exclusively through this seam, so a new backend becomes
+// reachable from every experiment by registering one builder.
 //
 // Spec grammar (see also BackendRegistry::help()):
 //
@@ -14,7 +13,8 @@
 //   option  := name "=" value | value        // bare value extends the
 //                                            // previous option's list
 //   value   := "(" text ")" | text           // parens quote separators,
-//                                            // how inner= nests a spec
+//                                            // how record's inner= nests
+//                                            // a spec
 //   key     := [a-z0-9_-]+
 //
 // Examples:
@@ -23,20 +23,18 @@
 //   "zc:workers=4,quantum_us=10000"
 //   "intel:sl=read,write;workers=2;rbf=20000"
 //   "hotcalls:workers=2"
-//   "zc_sharded:shards=4;policy=least_loaded;workers=1"
-//   "zc_sharded:shards=4;inner=(zc_batched:batch=8;flush_us=50)"
 //   "zc_batched:workers=2;batch=8;flush_us=100;spin_us=0"
 //   "zc:wait=futex;spin_us=0"           (blocked callers futex-sleep)
 //   "zc_async:workers=2;queue=16"       (submit()/wait() futures, no spin)
 //   "zc:direction=ecall;workers=2"      (trusted workers serving ecalls)
+//   "record:file=run.trace;inner=(zc_batched:batch=8;flush_us=50)"
 //
 // `sl=read,write` parses as one option with the value list {read, write}:
 // a comma-separated segment without '=' appends to the preceding option.
 // A parenthesised value keeps its ';'/','/':' intact — that is how
-// `zc_sharded:inner=(...)` carries a whole nested spec, which the sharded
-// builder feeds back through the registry to build each shard (a shard is
-// a leaf: its spec is no zc_sharded and carries no inner= of its own; the
-// parens round-trip through to_string()).
+// `record:inner=(...)` carries a whole nested spec, which the record
+// builder feeds back through the registry to build the backend it wraps
+// (the parens round-trip through to_string()).
 //
 // Backends that can serve the trusted-function plane accept
 // `direction=ecall`; install_backend_spec() then installs them via

@@ -58,7 +58,7 @@ class RecordingBackend final : public CallBackend {
     inner_->set_active_workers(m);
   }
 
-  /// The wrapped backend (tests; routing layers never need it).
+  /// The wrapped backend (tests and diagnostics).
   CallBackend& inner() noexcept { return *inner_; }
 
   /// Point-in-time copy of the trace captured so far.

@@ -49,7 +49,8 @@ struct ClaimCursor {
 };
 
 // Direct-mapped by serial, so a thread that alternates between backends
-// (the sharded router's steal probes) keeps a cursor on each.
+// (one enclave's ocall and ecall planes, or two enclaves) keeps a cursor
+// on each.
 constexpr std::size_t kCursors = 8;
 thread_local std::array<ClaimCursor, kCursors> t_cursors;
 
@@ -222,8 +223,7 @@ Refusal ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
   if (m == 0) return Refusal::kNoWorker;
 
   // No free slot in any active range: immediate refusal, as in plain ZC
-  // (§IV-C) — the caller decides what a refusal means (submit falls back
-  // inline; a steal probe tries elsewhere).
+  // (§IV-C); submit() then falls back inline.
   const std::uint32_t index = claim(m);
   if (index == FutureHandle::kInline) return Refusal::kBusy;
   Slot* slot = slots_[index].get();
@@ -248,8 +248,8 @@ Refusal ZcAsyncBackend::try_submit(const CallDesc& desc, FutureHandle& out) {
     return Refusal::kOversize;
   }
 
-  // The gauge covers publish through release: occupied table slots are
-  // the per-layer load signal the sharded router's selectors read.
+  // The gauge covers publish through release: it counts occupied table
+  // slots.
   stats_.in_flight.add();
   marshal_into(mem, desc);
   if (desc.produce_in != nullptr) stats_.copies_elided.add();
@@ -297,13 +297,6 @@ CallFuture ZcAsyncBackend::submit(const CallDesc& desc) {
 CallPath ZcAsyncBackend::invoke(const CallDesc& desc) {
   CallFuture future = submit(desc);
   return future.wait();
-}
-
-bool ZcAsyncBackend::try_invoke_switchless(const CallDesc& desc) {
-  FutureHandle handle;
-  if (try_submit(desc, handle) != Refusal::kNone) return false;
-  collect(handle);
-  return true;
 }
 
 bool ZcAsyncBackend::handle_completed(FutureHandle h) const noexcept {

@@ -235,13 +235,6 @@ class ZcAsyncBackend final : public CallBackend, public WorkerSet {
   /// Synchronous contract, implemented as submit()+wait().
   CallPath invoke(const CallDesc& desc) override;
 
-  /// Claims a slot in an active range, publishes `desc` and waits for it;
-  /// false without side effects when the active ranges are full, no worker
-  /// is active, or the frame exceeds the slot pool — the routing probe
-  /// used by the sharded router's steal path.  stats().in_flight is raised
-  /// while a call occupies a slot.
-  bool try_invoke_switchless(const CallDesc& desc) override;
-
   const char* name() const noexcept override { return name_.c_str(); }
 
   unsigned active_workers() const noexcept override {

@@ -83,10 +83,6 @@ CallPath ZcBackend::fallback(const CallDesc& desc, Refusal why) {
   return CallPath::kFallback;
 }
 
-bool ZcBackend::try_invoke_switchless(const CallDesc& desc) {
-  return try_switchless(desc) == Refusal::kNone;
-}
-
 Refusal ZcBackend::try_switchless(const CallDesc& desc) {
   if (!running_.load(std::memory_order_relaxed)) return Refusal::kNoWorker;
 
@@ -110,9 +106,8 @@ Refusal ZcBackend::try_switchless(const CallDesc& desc) {
   if (worker == nullptr) return Refusal::kBusy;
 
   // The gauge covers reservation through collection: it counts calls
-  // occupying a worker right now, which is what least_loaded routing
-  // wants to balance (fallbacks run on the caller's own thread and do
-  // not occupy this backend, so they are deliberately not counted).
+  // occupying a worker right now (fallbacks run on the caller's own
+  // thread and do not occupy this backend, so they are not counted).
   stats_.in_flight.add();
   // A frame small enough travels inline in the worker's hand-off lines,
   // whatever the pool kind; larger ones come from the slab or the bump

@@ -29,15 +29,6 @@ class ZcBackend final : public CallBackend, public WorkerSet {
   void stop() override;
   CallPath invoke(const CallDesc& desc) override;
 
-  /// The switchless half of invoke(): reserves an idle active worker,
-  /// runs `desc` through it and returns true, or returns false without
-  /// side effects when nothing is idle (or the frame exceeds the pool).
-  /// Never executes the regular fallback — the caller decides what a
-  /// refusal means (plain invoke() falls back; the sharded router's
-  /// steal path probes another shard first).  While the call is in
-  /// flight, stats().in_flight is raised — the load signal the sharded
-  /// load-aware selectors read.
-  bool try_invoke_switchless(const CallDesc& desc) override;
   const char* name() const noexcept override {
     return cfg_.direction == CallDirection::kOcall ? "zc" : "zc-ecall";
   }

@@ -59,7 +59,6 @@ BackendStatsSnapshot BackendStats::snapshot() const noexcept {
   s.caller_yields = caller_yields.load();
   s.caller_sleeps = caller_sleeps.load();
   s.caller_wakeups = caller_wakeups.load();
-  s.steals = steals.load();
   s.wake_batches = wake_batches.load();
   s.slab_hits = slab_hits.load();
   s.slab_misses = slab_misses.load();
@@ -84,7 +83,6 @@ BackendStatsSnapshot& BackendStatsSnapshot::merge(
   caller_yields += other.caller_yields;
   caller_sleeps += other.caller_sleeps;
   caller_wakeups += other.caller_wakeups;
-  steals += other.steals;
   wake_batches += other.wake_batches;
   slab_hits += other.slab_hits;
   slab_misses += other.slab_misses;

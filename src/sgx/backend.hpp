@@ -78,8 +78,6 @@ struct BackendStats {
   PaddedCounter caller_sleeps;     ///< blocked callers that went to sleep
                                    ///< (CompletionGate futex/condvar wait)
   PaddedCounter caller_wakeups;    ///< sleeping callers woken by a worker
-  PaddedCounter steals;            ///< calls served by a non-primary shard
-                                   ///< (sharded backend, steal=on)
   PaddedCounter wake_batches;      ///< always 0: no plane coalesces wakes
                                    ///< any more; kept because the call-
                                    ///< plane benchmark's schema reads it
@@ -92,10 +90,9 @@ struct BackendStats {
   PaddedCounter copies_elided;     ///< payload copies skipped by copy=single
                                    ///< (handler consumed/produced in place)
   /// Calls currently occupying one of this backend's workers (claimed
-  /// through collected).  This is the per-shard load signal the sharded
-  /// backend's load-aware selectors read: a level, not a total, so read it
-  /// with level().  Striped like every counter, so the claim and release
-  /// of a call write only their own threads' cells.
+  /// through collected): a level, not a total, so read it with level().
+  /// Striped like every counter, so the claim and release of a call write
+  /// only their own threads' cells.
   PaddedCounter in_flight;
 
   std::uint64_t total_calls() const noexcept {
@@ -116,10 +113,9 @@ struct BackendStats {
   BackendStatsSnapshot snapshot() const noexcept;
 };
 
-/// A plain-integer copy of BackendStats, taken at one instant.  Composed
-/// backends merge the snapshots of their layers into one rolled-up view
-/// (e.g. a sharded router sums its shards and adds its own router-only
-/// counters), while each layer's own snapshot stays available per shard.
+/// A plain-integer copy of BackendStats, taken at one instant.  Snapshots
+/// merge field-wise, so a run's deltas can be summed across workloads or
+/// phases.
 struct BackendStatsSnapshot {
   std::uint64_t regular_calls = 0;
   std::uint64_t switchless_calls = 0;
@@ -134,7 +130,6 @@ struct BackendStatsSnapshot {
   std::uint64_t caller_yields = 0;
   std::uint64_t caller_sleeps = 0;
   std::uint64_t caller_wakeups = 0;
-  std::uint64_t steals = 0;
   std::uint64_t wake_batches = 0;
   std::uint64_t slab_hits = 0;
   std::uint64_t slab_misses = 0;
@@ -165,19 +160,6 @@ class CallBackend {
   /// unmarshalled back into trusted memory.
   virtual CallPath invoke(const CallDesc& desc) = 0;
 
-  /// The switchless half of invoke(): runs `desc` on a worker and returns
-  /// true, or returns false *without side effects* when the backend has no
-  /// capacity right now (no idle worker/slot, oversized frame, stopped).
-  /// Never executes a regular fallback — the caller decides what a refusal
-  /// means.  Routing layers (the sharded router's steal probe) use this to
-  /// try a backend without committing to its fallback path; the default
-  /// refuses, so composition over a backend without the hook degrades to
-  /// plain invoke() routing.
-  virtual bool try_invoke_switchless(const CallDesc& desc) {
-    (void)desc;
-    return false;
-  }
-
   virtual const char* name() const noexcept = 0;
 
   /// Lifetime counters.  Live: callers may cache the reference and read
@@ -185,9 +167,8 @@ class CallBackend {
   /// calls complete (not lazily on read).
   const BackendStats& stats() const noexcept { return stats_; }
 
-  /// Point-in-time counter copy.  Plain backends snapshot stats();
-  /// composed backends (the sharded router) roll the layers up so e.g. a
-  /// zc_batched inner's batch_flushes surface at the top.
+  /// Point-in-time counter copy.  Plain backends snapshot stats(); a
+  /// wrapping backend (the record: tap) reports the backend it wraps.
   virtual BackendStatsSnapshot stats_snapshot() const {
     return stats_.snapshot();
   }
@@ -197,30 +178,11 @@ class CallBackend {
   /// (kSingle) CallDesc form; see marshal.hpp.
   virtual CopyMode copy_mode() const noexcept { return CopyMode::kDouble; }
 
-  /// Composed backends expose their constituent layers so benches can emit
-  /// one stats row per layer (a sharded router's shards plotted
-  /// individually, not just the rolled-up sum).  Plain backends have no
-  /// sub-layers: layer_count() == 0.
-  virtual unsigned layer_count() const noexcept { return 0; }
-
-  /// Snapshot of layer `i` (i < layer_count()).  Out-of-range indices
-  /// return an empty snapshot.
-  virtual BackendStatsSnapshot layer_snapshot(unsigned i) const {
-    (void)i;
-    return {};
-  }
-
-  /// Human-readable name of layer `i` ("shard0", ...); "" out of range.
-  virtual const char* layer_name(unsigned i) const noexcept {
-    (void)i;
-    return "";
-  }
-
   /// Number of workers currently allowed to serve calls (0 for regular).
   virtual unsigned active_workers() const noexcept { return 0; }
 
   /// Applies a worker count (tests / scheduler-off ablations).  No-op for
-  /// workerless backends; composed backends forward to every layer.
+  /// workerless backends; a wrapping backend forwards it.
   virtual void set_active_workers(unsigned m) { (void)m; }
 
  protected:

@@ -4,6 +4,23 @@
 
 namespace zc {
 
+namespace {
+
+// Byte counts come back from the untrusted host, which may lie (an Iago
+// value): a count above the request would have the caller trust bytes it
+// never asked for, so it becomes the call's error value instead.
+std::int64_t checked_ssize(std::int64_t ret, std::uint64_t requested) {
+  if (ret < -1) return -1;
+  if (ret > 0 && static_cast<std::uint64_t>(ret) > requested) return -1;
+  return ret;
+}
+
+std::size_t checked_size(std::uint64_t ret, std::uint64_t requested) {
+  return ret <= requested ? ret : 0;
+}
+
+}  // namespace
+
 int EnclaveLibc::open(const char* path, int flags, unsigned mode) {
   OpenArgs args;
   std::strncpy(args.path, path, sizeof(args.path) - 1);
@@ -25,7 +42,7 @@ std::int64_t EnclaveLibc::read(int fd, void* buf, std::size_t count) {
   args.fd = fd;
   args.count = count;
   enclave_->ocall_out(ids_.read, args, buf, count);
-  return args.ret;
+  return checked_ssize(args.ret, count);
 }
 
 std::int64_t EnclaveLibc::write(int fd, const void* buf, std::size_t count) {
@@ -33,7 +50,7 @@ std::int64_t EnclaveLibc::write(int fd, const void* buf, std::size_t count) {
   args.fd = fd;
   args.count = count;
   enclave_->ocall_in(ids_.write, args, buf, count);
-  return args.ret;
+  return checked_ssize(args.ret, count);
 }
 
 void EnclaveLibc::usleep(std::uint64_t usec) {
@@ -70,7 +87,7 @@ std::size_t TFile::read(void* buf, std::size_t size) {
   args.handle = handle_;
   args.size = size;
   libc_->enclave_->ocall_out(libc_->ids_.fread, args, buf, size);
-  return args.ret;
+  return checked_size(args.ret, size);
 }
 
 std::size_t TFile::write(const void* buf, std::size_t size) {
@@ -78,7 +95,7 @@ std::size_t TFile::write(const void* buf, std::size_t size) {
   args.handle = handle_;
   args.size = size;
   libc_->enclave_->ocall_in(libc_->ids_.fwrite, args, buf, size);
-  return args.ret;
+  return checked_size(args.ret, size);
 }
 
 int TFile::seek(std::int64_t offset, int whence) {

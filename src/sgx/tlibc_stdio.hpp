@@ -38,8 +38,10 @@ class EnclaveLibc {
   int open(const char* path, int flags, unsigned mode = 0644);
   int close(int fd);
   /// read(2) into trusted buffer `buf` ([out] payload copy included).
+  /// Returns -1 on error, or when the host reports more than `count`.
   std::int64_t read(int fd, void* buf, std::size_t count);
   /// write(2) from trusted buffer `buf` ([in] payload copy included).
+  /// Returns -1 on error, or when the host reports more than `count`.
   std::int64_t write(int fd, const void* buf, std::size_t count);
   void usleep(std::uint64_t usec);
 
@@ -69,9 +71,11 @@ class TFile {
   /// True when the file was opened successfully.
   explicit operator bool() const noexcept { return handle_ != 0; }
 
-  /// fread into trusted memory; returns bytes read.
+  /// fread into trusted memory; returns bytes read (0 when the host
+  /// reports more than `size`).
   std::size_t read(void* buf, std::size_t size);
-  /// fwrite from trusted memory; returns bytes written.
+  /// fwrite from trusted memory; returns bytes written (0 when the host
+  /// reports more than `size`).
   std::size_t write(const void* buf, std::size_t size);
   /// fseeko; whence is SEEK_SET/SEEK_CUR/SEEK_END. Returns 0 on success.
   int seek(std::int64_t offset, int whence);

@@ -176,7 +176,6 @@ std::string ReplayResult::json() const {
   append_u64(out, "switchless", switchless);
   append_u64(out, "fallbacks", fallbacks);
   append_u64(out, "regular", regular);
-  append_u64(out, "steals", steals);
   append_u64(out, "wake_batches", wake_batches);
   out += "}";
   return out;
@@ -379,7 +378,6 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   result.switchless = after.switchless_calls - before.switchless_calls;
   result.fallbacks = after.fallback_calls - before.fallback_calls;
   result.regular = after.regular_calls - before.regular_calls;
-  result.steals = after.steals - before.steals;
   result.wake_batches = after.wake_batches - before.wake_batches;
   return result;
 }

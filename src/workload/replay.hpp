@@ -99,7 +99,6 @@ struct ReplayResult {
   std::uint64_t switchless = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t regular = 0;
-  std::uint64_t steals = 0;
   std::uint64_t wake_batches = 0;
 
   /// JSONL row with only the deterministic fields — byte-identical across

@@ -62,9 +62,9 @@ std::string intel_mode_spec(SynthConfig config, unsigned workers);
 
 /// How g-call durations are distributed across the caller threads.
 /// kUniform is the paper's homogeneous mix; kZipf gives caller t a
-/// zipf-ranked duration weight (thread 0 heaviest), producing the skewed,
-/// bursty many-caller mix that count-blind shard routing handles worst —
-/// the workload `zc_sharded:policy=least_loaded` exists for.
+/// zipf-ranked duration weight (thread 0 heaviest), producing a skewed,
+/// bursty many-caller mix in which one caller's long calls keep a worker
+/// busy while the others' short calls compete for the rest.
 enum class CallerSkew : std::uint8_t {
   kUniform,
   kZipf,
@@ -82,8 +82,9 @@ std::uint64_t zipf_g_pauses(std::uint64_t g_pauses, unsigned thread,
 /// The rank each caller thread holds under CallerSkew::kZipf: a
 /// Fisher–Yates permutation of 0..threads-1 drawn from mt19937_64(seed),
 /// so *which* thread is the heavy caller is a seeded choice instead of
-/// always thread 0 (affinity-keyed shard policies would otherwise see the
-/// same lopsided placement every run).  `seed` is the resolved, nonzero
+/// always thread 0 (anything keyed on the caller, such as the slotted
+/// plane's per-thread home ranges, would otherwise see the same lopsided
+/// placement every run).  `seed` is the resolved, nonzero
 /// effective seed; the same seed always yields the same placement.
 std::vector<unsigned> zipf_rank_permutation(unsigned threads,
                                             std::uint64_t seed);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
+#include "core/recording_backend.hpp"
 #include "core/zc_async.hpp"
 #include "sgx/enclave.hpp"
 #include "workload/synthetic.hpp"
@@ -43,8 +47,8 @@ TEST(BackendSpecTest, ToStringRoundTrips) {
        {"no_sl", "zc:workers=4,quantum_us=10000",
         "intel:sl=read,write;workers=2;rbf=20000", "hotcalls:workers=2",
         "zc:scheduler=off,mu=0.01",
-        "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)",
-        "zc_sharded:shards=2;inner=(zc_sharded:shards=2;inner=(zc))"}) {
+        "record:inner=(zc_batched:workers=1;batch=4)",
+        "record:file=run.trace;inner=(record:jsonl=run.jsonl;inner=(zc))"}) {
     const auto spec = BackendSpec::parse(text);
     const std::string canon = spec.to_string();
     const auto again = BackendSpec::parse(canon);
@@ -95,17 +99,16 @@ TEST(BackendSpecTest, ParenthesisedValuesCarryNestedSpecs) {
   // A '('-quoted value keeps its separators: the inner= composition
   // mechanism at the grammar level (the registry interprets it later).
   const auto spec = BackendSpec::parse(
-      "zc_sharded:shards=4;inner=(zc_batched:batch=8;flush_us=50)");
-  EXPECT_EQ(spec.get_unsigned("shards", 0), 4u);
+      "record:file=run.trace;inner=(zc_batched:batch=8;flush_us=50)");
+  EXPECT_EQ(spec.get_string("file", ""), "run.trace");
   EXPECT_EQ(spec.get_string("inner", ""), "zc_batched:batch=8;flush_us=50");
   // Nested parens stay balanced inside the payload.
   const auto nested = BackendSpec::parse(
-      "zc_sharded:inner=(zc_sharded:shards=2;inner=(zc:workers=1))");
+      "record:inner=(record:jsonl=run.jsonl;inner=(zc:workers=1))");
   EXPECT_EQ(nested.get_string("inner", ""),
-            "zc_sharded:shards=2;inner=(zc:workers=1)");
+            "record:jsonl=run.jsonl;inner=(zc:workers=1)");
   // Whitespace around the payload is trimmed like any other value.
-  EXPECT_EQ(BackendSpec::parse("zc_sharded:inner=( zc )").get_string("inner",
-                                                                     ""),
+  EXPECT_EQ(BackendSpec::parse("record:inner=( zc )").get_string("inner", ""),
             "zc");
   // A ','-joined list continuation unwraps parens exactly like a named
   // value, so to_string()'s re-wrapping round-trips list values too.
@@ -117,14 +120,12 @@ TEST(BackendSpecTest, ParenthesisedValuesCarryNestedSpecs) {
 }
 
 TEST(BackendSpecTest, UnbalancedParensAreRejected) {
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=(zc"), BackendSpecError);
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=zc)"), BackendSpecError);
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=((zc)"),
-               BackendSpecError);
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=(zc)x"),
-               BackendSpecError);
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=()"), BackendSpecError);
-  EXPECT_THROW(BackendSpec::parse("zc_sharded:inner=(zc));shards=2"),
+  EXPECT_THROW(BackendSpec::parse("record:inner=(zc"), BackendSpecError);
+  EXPECT_THROW(BackendSpec::parse("record:inner=zc)"), BackendSpecError);
+  EXPECT_THROW(BackendSpec::parse("record:inner=((zc)"), BackendSpecError);
+  EXPECT_THROW(BackendSpec::parse("record:inner=(zc)x"), BackendSpecError);
+  EXPECT_THROW(BackendSpec::parse("record:inner=()"), BackendSpecError);
+  EXPECT_THROW(BackendSpec::parse("record:inner=(zc));file=x"),
                BackendSpecError);
 }
 
@@ -156,12 +157,44 @@ class BackendRegistryTest : public ::testing::Test {
 
 TEST_F(BackendRegistryTest, KnowsThePaperBackends) {
   auto& registry = BackendRegistry::instance();
-  for (const char* key : {"no_sl", "intel", "hotcalls", "zc", "zc_sharded",
-                          "zc_batched", "zc_async"}) {
+  for (const char* key :
+       {"no_sl", "intel", "hotcalls", "zc", "zc_batched", "zc_async"}) {
     EXPECT_TRUE(registry.contains(key)) << key;
   }
   EXPECT_FALSE(registry.contains("warp_drive"));
   EXPECT_NE(registry.help().find("zc"), std::string::npos);
+}
+
+// The built-in keys, in registration order.
+const char* const kBuiltinKeys[] = {"no_sl",      "intel",    "hotcalls", "zc",
+                                    "zc_batched", "zc_async", "record"};
+
+// The option names help() lists for `key` ("" when it lists none).
+std::string help_options(const std::string& help, const std::string& key) {
+  const std::size_t entry = help.find("  " + key + " — ");
+  if (entry == std::string::npos) return "";
+  const std::string tag = "options: ";
+  const std::size_t at = help.find(tag, entry) + tag.size();
+  const std::string list = help.substr(at, help.find('\n', at) - at);
+  return list == "none" ? "" : list;
+}
+
+TEST_F(BackendRegistryTest, BuiltinOptionCountIsTracked) {
+  // The option count is a design-size metric tracked next to latency:
+  // adding a knob must update this number on purpose.
+  const auto& registry = BackendRegistry::instance();
+  const std::vector<std::string> keys = registry.keys();
+  ASSERT_GE(keys.size(), std::size(kBuiltinKeys));
+  std::size_t options = 0;
+  for (std::size_t i = 0; i < std::size(kBuiltinKeys); ++i) {
+    EXPECT_EQ(keys[i], kBuiltinKeys[i]);
+    const std::string list = help_options(registry.help(), kBuiltinKeys[i]);
+    if (!list.empty()) {
+      options += 1 + static_cast<std::size_t>(
+                         std::count(list.begin(), list.end(), ','));
+    }
+  }
+  EXPECT_EQ(options, 43u);
 }
 
 TEST_F(BackendRegistryTest, CreatesEachBuiltin) {
@@ -171,7 +204,6 @@ TEST_F(BackendRegistryTest, CreatesEachBuiltin) {
       {"intel:sl=all;workers=2", "intel_sl"},
       {"hotcalls:workers=2", "hotcalls"},
       {"zc", "zc"},
-      {"zc_sharded:shards=2;workers=1", "zc_sharded"},
       {"zc_batched:workers=1;batch=2", "zc_batched"},
       {"zc_async:workers=1;queue=4", "zc_async"},
   };
@@ -244,15 +276,8 @@ TEST_F(BackendRegistryTest, BadOptionValuesAreRejectedAtCreate) {
                BackendSpecError);
 }
 
-TEST_F(BackendRegistryTest, ShardedAndBatchedValueErrorsAreTyped) {
+TEST_F(BackendRegistryTest, BatchedValueErrorsAreTyped) {
   auto& registry = BackendRegistry::instance();
-  // Sharded: shard count and policy validation.
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:shards=0"),
-               BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:policy=warp_drive"),
-               BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:quantum_us=0"),
-               BackendSpecError);
   // Batched: batch/flush validation, incl. conflicting combinations.
   EXPECT_THROW(registry.create(*enclave_, "zc_batched:batch=0"),
                BackendSpecError);
@@ -270,31 +295,21 @@ TEST_F(BackendRegistryTest, ShardedAndBatchedValueErrorsAreTyped) {
             nullptr);
 }
 
-TEST_F(BackendRegistryTest, LoadAwareShardOptionsAreValidated) {
+TEST_F(BackendRegistryTest, TheShardedRouterIsGone) {
+  // There is no router key, and no key takes routing options.
   auto& registry = BackendRegistry::instance();
-  // least_loaded is a first-class policy value; steal takes on/off.
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:policy=least_loaded"),
-            nullptr);
-  EXPECT_NE(registry.create(*enclave_,
-                            "zc_sharded:shards=4;policy=least_loaded;"
-                            "steal=on;scheduler=off;workers=1"),
-            nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:steal=off"), nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:steal=yes"), nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:steal=0"), nullptr);
-  // round_robin and least_loaded are the only policies, and steal is a
-  // plain on/off switch: other values are value errors, raised at create().
+  EXPECT_FALSE(registry.contains("zc_sharded"));
+  EXPECT_THROW(install_backend_spec(*enclave_, "zc_sharded"),
+               BackendSpecError);
+  EXPECT_THROW(registry.validate("zc_sharded:shards=2;workers=1"),
+               BackendSpecError);
   for (const char* spec :
-       {"zc_sharded:steal=banana", "zc_sharded:steal=max_load",
-        "zc_sharded:steal=scan", "zc_sharded:policy=caller_affinity",
-        "zc_sharded:policy=affinity_load"}) {
-    EXPECT_NO_THROW(registry.validate(spec)) << spec;
+       {"zc:shards=2", "zc:steal=on", "zc:policy=least_loaded",
+        "zc_batched:policy=least_loaded", "zc_async:steal=on",
+        "record:inner=(zc_sharded:shards=2)"}) {
+    EXPECT_THROW(registry.validate(spec), BackendSpecError) << spec;
     EXPECT_THROW(registry.create(*enclave_, spec), BackendSpecError) << spec;
   }
-  // steal/policy belong to zc_sharded only.
-  EXPECT_THROW(registry.create(*enclave_, "zc:steal=on"), BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_batched:policy=least_loaded"),
-               BackendSpecError);
 }
 
 TEST_F(BackendRegistryTest, BatchedSpinBudgetIsValidated) {
@@ -307,10 +322,9 @@ TEST_F(BackendRegistryTest, BatchedSpinBudgetIsValidated) {
   EXPECT_THROW(registry.create(*enclave_, "zc_batched:spin_us=-1"),
                BackendSpecError);
   // The spin budget is uniform across the ZC family's spinning callers
-  // (zc and zc_sharded take it too); zc_async never spins by design, so
-  // there it stays an unknown option.
+  // (zc takes it too); zc_async never spins by design, so there it stays
+  // an unknown option.
   EXPECT_NE(registry.create(*enclave_, "zc:spin_us=10"), nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:spin_us=10"), nullptr);
   EXPECT_THROW(registry.create(*enclave_, "zc_async:spin_us=10"),
                BackendSpecError);
   // spin_us=0 is valid and means yield-immediately.
@@ -324,16 +338,14 @@ TEST_F(BackendRegistryTest, RingAndCoalesceAreUnknownOptions) {
   // The batched and async planes have one submit plane (the CAS-claimed
   // slot table with per-slot completion gates), so the old ring=/coalesce=
   // switches are unknown options like any other, nested ones included.
-  // So are the batched flush policy with its controller period and the
-  // sharded router's load threshold.
+  // So are the batched flush policy with its controller period.
   auto& registry = BackendRegistry::instance();
   for (const char* spec :
        {"zc_batched:ring=on", "zc_batched:coalesce=on;wait=futex",
         "zc_async:coalesce=on", "zc_async:ring=off",
-        "zc_sharded:inner=(zc_batched:ring=on)", "zc_batched:flush=feedback",
+        "record:inner=(zc_batched:ring=on)", "zc_batched:flush=feedback",
         "zc_batched:flush=timer", "zc_batched:quantum_us=2000",
-        "zc_sharded:load_threshold=1",
-        "zc_sharded:inner=(zc_batched:batch=8;flush=feedback)"}) {
+        "record:inner=(zc_batched:batch=8;flush=feedback)"}) {
     EXPECT_THROW(registry.validate(spec), BackendSpecError) << spec;
     EXPECT_THROW(registry.create(*enclave_, spec), BackendSpecError) << spec;
   }
@@ -342,59 +354,47 @@ TEST_F(BackendRegistryTest, RingAndCoalesceAreUnknownOptions) {
 TEST_F(BackendRegistryTest, NestedInnerSpecsAreValidated) {
   auto& registry = BackendRegistry::instance();
   // Happy paths: any registered family composes as the inner backend.
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:shards=2;inner=(zc)"),
-            nullptr);
-  EXPECT_NE(registry.create(
-                *enclave_,
-                "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)"),
-            nullptr);
-  EXPECT_NE(registry.create(
-                *enclave_,
-                "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)"),
+  EXPECT_NE(registry.create(*enclave_, "record:inner=(zc)"), nullptr);
+  EXPECT_NE(
+      registry.create(*enclave_, "record:inner=(zc_batched:workers=1;batch=4)"),
+      nullptr);
+  EXPECT_NE(
+      registry.create(*enclave_, "record:inner=(zc_async:workers=1;queue=8)"),
+      nullptr);
+  EXPECT_NE(registry.create(*enclave_, "record:inner=(record:inner=(zc))"),
             nullptr);
   // validate() checks the nested spec without an enclave, recursively.
-  registry.validate("zc_sharded:inner=(zc_batched:batch=8;flush_us=50)");
-  EXPECT_THROW(registry.validate("zc_sharded:inner=(warp_drive)"),
-               BackendSpecError);
-  EXPECT_THROW(registry.validate("zc_sharded:inner=(zc:rbf=7)"),
-               BackendSpecError);
-  // inner= belongs to the sharded router only.
-  EXPECT_THROW(registry.validate("zc:inner=(no_sl)"), BackendSpecError);
-  EXPECT_THROW(registry.validate("zc_batched:inner=(zc)"), BackendSpecError);
-  EXPECT_THROW(registry.validate("zc_async:inner=(zc)"), BackendSpecError);
-  // A shard is a leaf: a router never routes to a router, and a shard
-  // spec carries no inner= of its own.
+  registry.validate("record:inner=(zc_batched:batch=8;flush_us=50)");
   for (const char* spec :
-       {"zc_sharded:inner=(zc_sharded:inner=(zc))",
-        "zc_sharded:inner=(zc_sharded:shards=2;workers=1)",
-        "zc_sharded:inner=(record:inner=(zc))",
-        "zc_sharded:inner=(zc_sharded:inner=(zc_sharded:inner=(zc)))"}) {
+       {"record:inner=(warp_drive)", "record:inner=(zc:rbf=7)",
+        "record:inner=(record:inner=(zc:rbf=7))",
+        "record:inner=(record:inner=(record:inner=(warp_drive)))"}) {
     EXPECT_THROW(registry.validate(spec), BackendSpecError) << spec;
     EXPECT_THROW(registry.create(*enclave_, spec), BackendSpecError) << spec;
   }
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:shards=2;inner=(record)"),
-            nullptr);
-  // The inner spec inherits the outer direction and must not spell its
-  // own; flat per-shard zc options conflict with an explicit inner=.
-  EXPECT_THROW(
-      registry.create(*enclave_, "zc_sharded:inner=(zc:direction=ecall)"),
-      BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:inner=(zc);workers=2"),
+  // inner= takes exactly one spec.
+  EXPECT_THROW(registry.validate("record:inner=(zc),(no_sl)"),
                BackendSpecError);
-  EXPECT_THROW(registry.create(*enclave_, "zc_sharded:inner=(zc);spin_us=10"),
-               BackendSpecError);
-  // An ecall composition over an inner family without a trusted-worker
-  // plane is rejected in the user's terms (not by blaming the inherited
-  // direction option they never wrote).
-  try {
-    registry.create(*enclave_,
-                    "zc_sharded:direction=ecall;inner=(hotcalls:workers=2)");
-    FAIL() << "ecall composition over hotcalls should be rejected";
-  } catch (const BackendSpecError& e) {
-    EXPECT_NE(std::string(e.what()).find("trusted-worker plane"),
-              std::string::npos)
-        << e.what();
-  }
+  // inner= belongs to record only.
+  EXPECT_THROW(registry.validate("zc:inner=(no_sl)"), BackendSpecError);
+  EXPECT_THROW(registry.validate("zc_batched:inner=(zc)"), BackendSpecError);
+  EXPECT_THROW(registry.validate("zc_async:inner=(zc)"), BackendSpecError);
+}
+
+TEST_F(BackendRegistryTest, NestedSpecsInheritTheOuterDirection) {
+  // record:direction=ecall taps the trusted-function plane: the inner
+  // backend is built with the inherited direction and the composed spec
+  // installs as the enclave's ecall backend.
+  enclave_->ecalls().register_fn("tnop", [](MarshalledCall&) {});
+  install_backend_spec(*enclave_,
+                       "record:direction=ecall;inner=(zc_async:workers=1;"
+                       "queue=4;scheduler=off)");
+  EXPECT_STREQ(enclave_->backend().name(), "no_sl");
+  EXPECT_STREQ(enclave_->ecall_backend().name(),
+               "record[zc_async-ecall]-ecall");
+  auto& tap = dynamic_cast<RecordingBackend&>(enclave_->ecall_backend());
+  EXPECT_STREQ(tap.inner().name(), "zc_async-ecall");
+  enclave_->set_ecall_backend(nullptr);
 }
 
 TEST_F(BackendRegistryTest, RecordFamilyWrapsAnyInnerSpec) {
@@ -405,8 +405,7 @@ TEST_F(BackendRegistryTest, RecordFamilyWrapsAnyInnerSpec) {
             nullptr);
   EXPECT_NE(registry.create(
                 *enclave_,
-                "record:inner=(zc_sharded:shards=2;inner=(zc_batched:"
-                "workers=1;batch=4))"),
+                "record:inner=(zc_batched:workers=1;batch=4;pool=slab)"),
             nullptr);
   EXPECT_NE(registry.create(*enclave_, "record:direction=ecall"), nullptr);
   // The composed name surfaces the wrapped backend.
@@ -419,7 +418,7 @@ TEST_F(BackendRegistryTest, RecordFamilyWrapsAnyInnerSpec) {
   EXPECT_THROW(registry.validate("record:inner=(zc:rbf=7)"),
                BackendSpecError);
   // The inner spec inherits the outer direction and must not spell its
-  // own (same contract as the sharded router).
+  // own.
   try {
     registry.create(*enclave_, "record:inner=(zc:direction=ecall)");
     FAIL() << "inner direction accepted";
@@ -447,7 +446,6 @@ TEST_F(BackendRegistryTest, GateWaitPoliciesAreValidated) {
   EXPECT_NE(registry.create(*enclave_, "zc:wait=condvar;spin_us=0"), nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc:wait=spin"), nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc:wait=yield"), nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:wait=futex"), nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc_batched:wait=futex;spin_us=0"),
             nullptr);
   EXPECT_THROW(registry.create(*enclave_, "zc:wait=banana"),
@@ -468,8 +466,7 @@ TEST_F(BackendRegistryTest, GateWaitPoliciesAreValidated) {
 
 TEST_F(BackendRegistryTest, PoolAndCopyOptionsAreValidated) {
   auto& registry = BackendRegistry::instance();
-  // The whole ZC family takes the data-plane knobs, including the sharded
-  // router's flat per-shard options.
+  // The whole ZC family takes the data-plane knobs.
   EXPECT_NE(registry.create(*enclave_, "zc:pool=slab"), nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc:pool=bump"), nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc:pool=slab;copy=single"), nullptr);
@@ -477,12 +474,9 @@ TEST_F(BackendRegistryTest, PoolAndCopyOptionsAreValidated) {
             nullptr);
   EXPECT_NE(registry.create(*enclave_, "zc_async:pool=slab;copy=single"),
             nullptr);
-  EXPECT_NE(registry.create(*enclave_, "zc_sharded:pool=slab;copy=single"),
-            nullptr);
-  EXPECT_NE(registry.create(
-                *enclave_,
-                "zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4;"
-                "pool=slab;copy=single)"),
+  EXPECT_NE(registry.create(*enclave_,
+                            "record:inner=(zc_batched:workers=1;batch=4;"
+                            "pool=slab;copy=single)"),
             nullptr);
 
   // The chosen discipline surfaces through CallBackend::copy_mode().
@@ -491,11 +485,6 @@ TEST_F(BackendRegistryTest, PoolAndCopyOptionsAreValidated) {
   EXPECT_EQ(registry.create(*enclave_, "zc:copy=single")->copy_mode(),
             CopyMode::kSingle);
   EXPECT_EQ(registry.create(*enclave_, "zc_async:copy=single")->copy_mode(),
-            CopyMode::kSingle);
-  EXPECT_EQ(registry
-                .create(*enclave_,
-                        "zc_sharded:shards=2;inner=(zc:copy=single)")
-                ->copy_mode(),
             CopyMode::kSingle);
 
   // Bad values name the accepted set.
@@ -654,8 +643,8 @@ TEST_F(BackendRegistryTest, EcallDirectionInstallsOnTheTrustedPlane) {
   EXPECT_STREQ(enclave_->ecall_backend().name(), "zc_batched-ecall");
 
   // An ocall-direction spec then only replaces the ocall plane.
-  install_backend_spec(*enclave_, "zc_sharded:shards=2;scheduler=off");
-  EXPECT_STREQ(enclave_->backend().name(), "zc_sharded");
+  install_backend_spec(*enclave_, "zc:workers=2;scheduler=off");
+  EXPECT_STREQ(enclave_->backend().name(), "zc");
   EXPECT_STREQ(enclave_->ecall_backend().name(), "zc_batched-ecall");
   enclave_->set_ecall_backend(nullptr);
   enclave_->set_backend(nullptr);

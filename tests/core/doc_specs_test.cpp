@@ -95,34 +95,24 @@ TEST(DocSpecsTest, EveryRegisteredFamilyHasARunnableExample) {
   }
 }
 
-TEST(DocSpecsTest, DocumentedLoadAwareOptionsExist) {
-  // The load-aware tuning surface this reference exists to teach must
-  // stay real: these strings appear verbatim in the prose and must keep
-  // validating even if the example blocks are rearranged.
-  for (const char* spec :
-       {"zc_sharded:policy=least_loaded;steal=on",
-        "zc_batched:flush_us=100"}) {
-    EXPECT_NO_THROW(BackendRegistry::instance().validate(spec)) << spec;
-  }
-}
-
 TEST(DocSpecsTest, DocumentedCompositionAndGateOptionsExist) {
-  // The composition/wait surface added with the CompletionGate refactor:
-  // nested inner= specs and the four gate policies.
+  // The composition/wait surface the reference teaches: record's nested
+  // inner= specs, the batched flush window and the four gate policies.
+  // These strings appear verbatim in the prose and must keep validating
+  // even if the example blocks are rearranged.
   for (const char* spec :
-       {"zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)",
-        "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)",
-        "zc:wait=futex;spin_us=0", "zc:wait=spin", "zc:wait=condvar",
-        "zc_batched:wait=futex", "zc_async:wait=futex"}) {
+       {"record:inner=(zc_batched:workers=1;batch=4)",
+        "record:file=run.trace;inner=(zc_async:workers=1;queue=8)",
+        "zc_batched:flush_us=100", "zc:wait=futex;spin_us=0", "zc:wait=spin",
+        "zc:wait=condvar", "zc_batched:wait=futex", "zc_async:wait=futex"}) {
     EXPECT_NO_THROW(BackendRegistry::instance().validate(spec)) << spec;
   }
   // And the documented validate-time negatives stay negative (value-level
   // ones like zc_async:wait=spin surface at create() and are covered by
   // the registry unit tests).
   for (const char* spec :
-       {"zc:inner=(no_sl)",
-        "zc_sharded:shards=2;inner=(zc_sharded:shards=2;inner=(zc))",
-        "zc_sharded:inner=(zc_sharded:inner=(zc_sharded:inner=(zc)))"}) {
+       {"zc:inner=(no_sl)", "zc_sharded:policy=least_loaded;steal=on",
+        "record:inner=(zc:rbf=7)"}) {
     EXPECT_THROW(BackendRegistry::instance().validate(spec),
                  BackendSpecError)
         << spec;

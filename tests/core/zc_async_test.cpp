@@ -907,8 +907,9 @@ TEST_F(ZcAsyncTest, ACursorNeverOutlivesItsBackend) {
 }
 
 TEST_F(ZcAsyncTest, OneThreadAlternatingBetweenTwoBackendsStaysCorrect) {
-  // The sharded router's steal probes drive several planes from one
-  // thread: each keeps its own cursor, so claims stay in the right table.
+  // One thread may drive several planes (an enclave's ocall and ecall
+  // backends, or two enclaves): each keeps its own claim cursor, so claims
+  // stay in the right table.
   ZcAsyncConfig big = fixed_workers();
   big.workers = 2;
   big.queue = 16;

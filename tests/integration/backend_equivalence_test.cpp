@@ -36,7 +36,6 @@ std::string equivalence_spec(const std::string& key) {
   if (key == "intel") return "intel:sl=all;workers=2";
   if (key == "zc") return "zc:quantum_us=5000";
   if (key == "hotcalls") return "hotcalls:workers=2";
-  if (key == "zc_sharded") return "zc_sharded:shards=2;workers=1";
   if (key == "zc_batched") return "zc_batched:workers=2;batch=2;flush_us=100";
   // A tiny completion table so queue-full backpressure fallbacks are part
   // of what equivalence covers.
@@ -49,20 +48,14 @@ std::vector<std::string> all_backend_specs() {
   for (const auto& key : BackendRegistry::instance().keys()) {
     specs.push_back(equivalence_spec(key));
   }
-  // Load-aware variants beyond the per-key defaults: least_loaded routing
-  // with bounded stealing (1 worker per shard so steals actually happen)
-  // and a long flush window (only full and eager flushes within a burst).
-  // Equivalence must hold however calls are routed or flushed.
-  specs.push_back(
-      "zc_sharded:shards=2;workers=1;scheduler=off;policy=least_loaded;"
-      "steal=on");
+  // A long flush window beyond the per-key default (only full and eager
+  // flushes within a burst): equivalence must hold however calls are
+  // flushed.
   specs.push_back("zc_batched:workers=2;batch=2;flush_us=2000");
-  // Composed planes (nested inner= specs): the router over batched and
-  // async shards, and round-robin routing with stealing.  However the
-  // lattice routes, batches or queues, results must be identical.
-  specs.push_back("zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)");
-  specs.push_back("zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)");
-  specs.push_back("zc_sharded:shards=2;workers=1;scheduler=off;steal=on");
+  // Composed planes (nested inner= specs): the record tap over the batched
+  // and async planes.  Recording may add time, never change results.
+  specs.push_back("record:inner=(zc_batched:workers=1;batch=4)");
+  specs.push_back("record:inner=(zc_async:workers=1;queue=8)");
   // Sleeping blocked-caller gates (futex with condvar fallback off Linux):
   // the wait policy may change who sleeps, never what calls compute.
   specs.push_back("zc:scheduler=off;workers=2;spin_us=0;wait=futex");
@@ -78,8 +71,6 @@ std::vector<std::string> all_backend_specs() {
   specs.push_back(
       "zc_batched:workers=2;batch=2;flush_us=100;pool=slab;copy=single");
   specs.push_back("zc_async:workers=2;queue=4;pool=slab;copy=single");
-  specs.push_back(
-      "zc_sharded:shards=2;inner=(zc:workers=1;pool=slab;copy=single)");
   return specs;
 }
 
@@ -92,12 +83,11 @@ const char* kSingleCopyEcallSpecs[] = {
 };
 
 // Composed ecall-plane specs checked on top of the per-key ecall variants
-// (the trusted-worker twins of the composed ocall specs above).
+// (the trusted-worker twins of the composed ocall specs above; the inner
+// spec inherits direction=ecall from the record tap).
 const char* kComposedEcallSpecs[] = {
-    "zc_sharded:direction=ecall;shards=2;inner=(zc_batched:workers=1;"
-    "batch=4)",
-    "zc_sharded:direction=ecall;shards=2;inner=(zc_async:workers=1;"
-    "queue=8)",
+    "record:direction=ecall;inner=(zc_batched:workers=1;batch=4)",
+    "record:direction=ecall;inner=(zc_async:workers=1;queue=8)",
 };
 
 // The ecall-plane twin of equivalence_spec(); empty string = the backend
@@ -107,9 +97,6 @@ std::string ecall_equivalence_spec(const std::string& key) {
   if (key == "no_sl") return "no_sl:direction=ecall";
   if (key == "intel") return "intel:direction=ecall;sl=all;workers=1";
   if (key == "zc") return "zc:direction=ecall;scheduler=off;workers=1";
-  if (key == "zc_sharded") {
-    return "zc_sharded:direction=ecall;shards=2;scheduler=off;workers=1";
-  }
   if (key == "zc_batched") {
     return "zc_batched:direction=ecall;workers=1;batch=2;flush_us=100";
   }
@@ -122,12 +109,12 @@ std::string ecall_equivalence_spec(const std::string& key) {
 
 TEST(BackendEquivalenceCoverage, EveryRegistryKeyIsChecked) {
   // INSTANTIATE below iterates all_backend_specs(); this guards that the
-  // list really spans the registry (incl. hotcalls and the sharded/batched
-  // call planes).
+  // list really spans the registry (incl. hotcalls, the slotted call
+  // planes and the record tap).
   const auto keys = BackendRegistry::instance().keys();
   EXPECT_GE(keys.size(), 7u);
-  for (const char* key : {"no_sl", "intel", "hotcalls", "zc", "zc_sharded",
-                          "zc_batched", "zc_async"}) {
+  for (const char* key : {"no_sl", "intel", "hotcalls", "zc", "zc_batched",
+                          "zc_async", "record"}) {
     EXPECT_TRUE(std::find(keys.begin(), keys.end(), key) != keys.end())
         << key;
   }

@@ -154,27 +154,6 @@ TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderSwitchlessWorkers) {
   EXPECT_EQ(out, 2u);
 }
 
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderStolenCalls) {
-  // One worker per shard: kissdb's ocalls are routinely stolen across
-  // shards, and an injected fault must surface at exactly the stolen call
-  // that drew it — never smear, never crash.
-  install_backend_spec(*enclave_,
-                       "zc_sharded:shards=2;workers=1;scheduler=off;"
-                       "policy=least_loaded;steal=on");
-  app::KissDB db;
-  ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
-  std::uint64_t key = 1;
-  std::uint64_t value = 2;
-  ASSERT_EQ(db.put(&key, &value), app::KissDB::kOk);
-  SimFs::instance().fail_next_ops(1);
-  key = 3;
-  EXPECT_EQ(db.put(&key, &value), app::KissDB::kErrorIo);
-  std::uint64_t out = 0;
-  key = 1;
-  EXPECT_EQ(db.get(&key, &out), app::KissDB::kOk);
-  EXPECT_EQ(out, 2u);
-}
-
 TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderWindowFlushedBatches) {
   // The failing op executes inside a worker's batch sweep flushed by the
   // window (or eagerly, once the worker has learned to): the error must
@@ -196,31 +175,12 @@ TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderWindowFlushedBatches) {
   EXPECT_EQ(out, 2u);
 }
 
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderComposedBatchedShards) {
-  // A composed plane (batched buffers inside a stealing router): the
-  // injected fault executes inside some shard's batch sweep, possibly on a
-  // stolen call, and must still surface at exactly the caller that drew it.
+TEST_F(FaultInjectionTest, FaultsBehaveTheSameThroughTheRecordTap) {
+  // A composed plane (batched buffers inside the record tap): the injected
+  // fault executes inside the inner plane's batch sweep and must still
+  // surface at exactly the caller that drew it.
   install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;steal=on;"
-      "inner=(zc_batched:workers=1;batch=2;flush_us=50)");
-  app::KissDB db;
-  ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
-  std::uint64_t key = 1;
-  std::uint64_t value = 2;
-  ASSERT_EQ(db.put(&key, &value), app::KissDB::kOk);
-  SimFs::instance().fail_next_ops(1);
-  key = 3;
-  EXPECT_EQ(db.put(&key, &value), app::KissDB::kErrorIo);
-  std::uint64_t out = 0;
-  key = 1;
-  EXPECT_EQ(db.get(&key, &out), app::KissDB::kOk);
-  EXPECT_EQ(out, 2u);
-}
-
-TEST_F(FaultInjectionTest, FaultsBehaveTheSameUnderComposedAsyncShards) {
-  install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=4)");
+      *enclave_, "record:inner=(zc_batched:workers=1;batch=2;flush_us=50)");
   app::KissDB db;
   ASSERT_EQ(db.open(*libc_, "faulty.db", {}), app::KissDB::kOk);
   std::uint64_t key = 1;

@@ -54,7 +54,6 @@ std::string replay_spec(const std::string& key) {
   if (key == "intel") return "intel:sl=trace_read,trace_write;workers=1";
   if (key == "hotcalls") return "hotcalls:workers=1";
   if (key == "zc") return "zc:workers=2;quantum_us=5000";
-  if (key == "zc_sharded") return "zc_sharded:shards=2;workers=1";
   if (key == "zc_batched") return "zc_batched:workers=1;batch=4;flush_us=100";
   if (key == "zc_async") return "zc_async:workers=1;queue=8";
   if (key == "record") return "record:inner=(zc:workers=1)";
@@ -69,7 +68,7 @@ std::vector<std::string> lattice_specs() {
   // Depth-2 composition (the acceptance bar names one) and the trusted-
   // worker plane: replay maps the whole trace onto whichever boundary the
   // spec serves.
-  specs.push_back("zc_sharded:shards=2;inner=(zc_batched:workers=1;batch=4)");
+  specs.push_back("record:inner=(zc_batched:workers=1;batch=4)");
   specs.push_back("zc:direction=ecall;workers=1");
   return specs;
 }
@@ -91,7 +90,7 @@ TEST(ReplayEquivalence, EveryRegistryFamilyHasAReplaySpec) {
   // If this fails a new family was registered without extending
   // replay_spec(); the default bare key keeps it covered, so this only
   // pins that the count keeps growing with the registry.
-  EXPECT_GE(BackendRegistry::instance().keys().size(), 8u);
+  EXPECT_GE(BackendRegistry::instance().keys().size(), 7u);
   for (const std::string& spec : lattice_specs()) {
     EXPECT_NO_THROW(BackendRegistry::instance().validate(spec)) << spec;
   }
@@ -120,8 +119,7 @@ TEST(ReplayEquivalence, RerunsEmitByteIdenticalDeterministicRows) {
   const Trace trace = golden();
   for (const std::string& spec :
        {std::string("no_sl"), replay_spec("zc"),
-        std::string("zc_sharded:shards=2;inner=(zc_batched:workers=1;"
-                    "batch=4)")}) {
+        std::string("record:inner=(zc_batched:workers=1;batch=4)")}) {
     SCOPED_TRACE(spec);
     const ReplayResult a = replay_trace(trace, replay_config(spec));
     const ReplayResult b = replay_trace(trace, replay_config(spec));

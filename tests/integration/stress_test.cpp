@@ -14,7 +14,6 @@
 #include "core/backend_registry.hpp"
 #include "core/zc_async.hpp"
 #include "core/zc_backend.hpp"
-#include "core/zc_sharded.hpp"
 #include "intel_sl/intel_backend.hpp"
 #include "workload/synthetic.hpp"
 
@@ -208,141 +207,28 @@ TEST_F(StressTest, MixedPayloadSizesAcrossWorkers) {
   EXPECT_EQ(corrupt.load(), 0);
 }
 
-TEST_F(StressTest, ShardedBackendUnderPressure) {
-  // Per-shard schedulers with an aggressive quantum: constant worker-count
-  // churn inside every shard while callers hammer both.
-  install_backend_spec(*enclave_, "zc_sharded:shards=2;quantum_us=2000");
-  hammer(scaled_threads(16), scaled_calls(2'000));
-}
-
-TEST_F(StressTest, FourShardsUnderPressure) {
-  install_backend_spec(*enclave_, "zc_sharded:shards=4;quantum_us=2000");
-  hammer(scaled_threads(16), scaled_calls(2'000));
-}
-
-TEST_F(StressTest, LeastLoadedShardedUnderPressure) {
-  // Load-aware routing with live per-shard schedulers: the in_flight
-  // gauges churn constantly while the selector reads them.
+TEST_F(StressTest, ComposedRecordBatchedUnderPressure) {
+  // The composed plane under the full hammer: batched buffers inside the
+  // record tap, whose rolled-up snapshot is the inner layer's.
   install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;policy=least_loaded;quantum_us=2000");
-  hammer(scaled_threads(16), scaled_calls(2'000));
-}
-
-TEST_F(StressTest, StealingShardedUnderPressure) {
-  // One worker per shard and more callers than workers: the steal probe
-  // runs on most calls, racing reservations on every shard at once.  The
-  // hammer's invariants (no lost/duplicated/corrupted call) are the
-  // equivalence property under maximal cross-shard traffic; quiesced
-  // in_flight gauges prove the steal path balances its bookkeeping.
-  ZcShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.steal = true;
-  cfg.policy = ShardPolicy::kLeastLoaded;
-  cfg.shard.scheduler_enabled = false;
-  cfg.shard.with_initial_workers(1);
-  auto backend = make_zc_sharded_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  for (unsigned s = 0; s < raw->shard_count(); ++s) {
-    EXPECT_EQ(raw->shard(s).stats().in_flight.load(), 0u) << s;
-  }
-}
-
-TEST_F(StressTest, RoundRobinStealingShardedUnderPressure) {
-  // The same pressure through the spec plane with round-robin primaries:
-  // every other call starts on the shard the previous one just filled.
-  install_backend_spec(*enclave_,
-                       "zc_sharded:shards=2;workers=1;scheduler=off;steal=on");
-  hammer(scaled_threads(8), scaled_calls(2'000));
-}
-
-TEST_F(StressTest, StealingChurnWhileCallersRun) {
-  // Stealing racing pause/resume churn on every shard: a probe can land
-  // on a shard whose workers are pausing mid-drain.
-  ZcShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.steal = true;
-  cfg.shard.scheduler_enabled = false;
-  auto backend = make_zc_sharded_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
-
-  const unsigned max =
-      dynamic_cast<ZcBackend&>(raw->shard(0)).max_workers();
-  std::atomic<bool> stop{false};
-  std::jthread churner([&] {
-    unsigned m = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      raw->set_active_workers(m % (max + 1));
-      ++m;
-      std::this_thread::sleep_for(200us);
-    }
-  });
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  stop.store(true);
-}
-
-TEST_F(StressTest, ShardedChurnWhileCallersRun) {
-  // Manual all-shard worker churn (0..max per shard) racing live callers:
-  // every transition between switchless and fallback paths is crossed on
-  // every shard repeatedly.
-  ZcShardedConfig cfg;
-  cfg.shards = 2;
-  cfg.shard.scheduler_enabled = false;
-  auto backend = make_zc_sharded_backend(*enclave_, cfg);
-  auto* raw = backend.get();
-  enclave_->set_backend(std::move(backend));
-
-  const unsigned max =
-      dynamic_cast<ZcBackend&>(raw->shard(0)).max_workers();
-  std::atomic<bool> stop{false};
-  std::jthread churner([&] {
-    unsigned m = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      raw->set_active_workers(m % (max + 1));
-      ++m;
-      std::this_thread::sleep_for(200us);
-    }
-  });
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  stop.store(true);
-}
-
-TEST_F(StressTest, ComposedShardedBatchedUnderPressure) {
-  // The composed lattice under the full hammer: batched buffers inside a
-  // stealing router, so the steal probe exercises the generic
-  // try_invoke_switchless seam while slots churn.
-  install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;steal=on;"
-      "inner=(zc_batched:workers=1;batch=4;flush_us=50)");
+      *enclave_, "record:inner=(zc_batched:workers=1;batch=4;flush_us=50)");
   hammer(scaled_threads(8), scaled_calls(2'000));
   const BackendStatsSnapshot rolled = enclave_->backend().stats_snapshot();
   EXPECT_GT(rolled.batch_flushes, 0u);  // the inner layer surfaces rolled up
-  EXPECT_EQ(rolled.in_flight, 0u);      // quiesced across every layer
-}
-
-TEST_F(StressTest, ComposedShardedAsyncUnderPressure) {
-  install_backend_spec(
-      *enclave_, "zc_sharded:shards=2;inner=(zc_async:workers=1;queue=8)");
-  hammer(scaled_threads(8), scaled_calls(2'000));
-  EXPECT_EQ(enclave_->backend().stats_snapshot().in_flight, 0u);
+  EXPECT_EQ(rolled.in_flight, 0u);      // quiesced
 }
 
 TEST_F(StressTest, ComposedChurnWhileCallersRun) {
-  // Worker churn forwarded through the router into batched inners while
-  // callers hammer: pause/drain inside every shard races the steal probe.
+  // Worker churn forwarded through the record tap into a batched inner
+  // while callers hammer: pause/drain races every claim.
   install_backend_spec(
-      *enclave_,
-      "zc_sharded:shards=2;steal=on;"
-      "inner=(zc_batched:workers=2;batch=2;flush_us=50)");
+      *enclave_, "record:inner=(zc_batched:workers=2;batch=2;flush_us=50)");
   auto* raw = &enclave_->backend();
   std::atomic<bool> stop{false};
   std::jthread churner([&] {
     unsigned m = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      raw->set_active_workers(m % 3);  // 0, 1, 2 workers per shard
+      raw->set_active_workers(m % 3);  // 0, 1, 2 workers
       ++m;
       std::this_thread::sleep_for(200us);
     }
@@ -650,12 +536,6 @@ TEST_F(StressTest, BackendHotSwapBetweenBatches) {
     hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_, "hotcalls");
     hammer(scaled_threads(4), scaled_calls(250));
-    install_backend_spec(*enclave_, "zc_sharded:shards=2;quantum_us=2000");
-    hammer(scaled_threads(4), scaled_calls(250));
-    install_backend_spec(
-        *enclave_,
-        "zc_sharded:shards=2;policy=least_loaded;steal=on;quantum_us=2000");
-    hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_, "zc_batched:workers=2;batch=2;flush_us=50");
     hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_,
@@ -663,9 +543,8 @@ TEST_F(StressTest, BackendHotSwapBetweenBatches) {
     hammer(scaled_threads(4), scaled_calls(250));
     install_backend_spec(*enclave_, "zc_async:workers=2;queue=4");
     hammer(scaled_threads(4), scaled_calls(250));
-    install_backend_spec(
-        *enclave_,
-        "zc_sharded:shards=2;steal=on;inner=(zc_batched:workers=1;batch=2)");
+    install_backend_spec(*enclave_,
+                         "record:inner=(zc_batched:workers=1;batch=2)");
     hammer(scaled_threads(4), scaled_calls(250));
   }
 }

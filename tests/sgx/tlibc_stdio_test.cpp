@@ -6,6 +6,8 @@
 #include "../test_util.hpp"
 #include <unistd.h>
 
+#include "sgx/arena.hpp"
+
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -143,6 +145,82 @@ TEST_F(TlibcStdioTest, LargePayloadRoundTrip) {
   std::vector<std::uint8_t> in(n, 0);
   ASSERT_EQ(f.read(in.data(), n), n);
   EXPECT_EQ(in, out);
+}
+
+// A host that lies about byte counts: it runs each ocall for real, then
+// overwrites the frame's return slot on the four count-returning calls
+// with `reported` before the trusted side unmarshals it.
+class HostileCountBackend final : public CallBackend {
+ public:
+  HostileCountBackend(Enclave& enclave, StdOcallIds ids, std::int64_t reported)
+      : enclave_(enclave), ids_(ids), reported_(reported) {}
+
+  CallPath invoke(const CallDesc& desc) override {
+    void* mem = ScratchArena::for_current_thread().acquire(frame_bytes(desc));
+    MarshalledCall call = marshal_into(mem, desc);
+    enclave_.ocalls().dispatch(desc.fn_id, call);
+    if (desc.fn_id == ids_.read) {
+      static_cast<ReadArgs*>(call.args)->ret = reported_;
+    } else if (desc.fn_id == ids_.write) {
+      static_cast<WriteArgs*>(call.args)->ret = reported_;
+    } else if (desc.fn_id == ids_.fread) {
+      static_cast<FreadArgs*>(call.args)->ret =
+          static_cast<std::uint64_t>(reported_);
+    } else if (desc.fn_id == ids_.fwrite) {
+      static_cast<FwriteArgs*>(call.args)->ret =
+          static_cast<std::uint64_t>(reported_);
+    }
+    unmarshal_from(call, desc);
+    stats_.regular_calls.add();
+    return CallPath::kRegular;
+  }
+  const char* name() const noexcept override { return "hostile_count"; }
+
+ private:
+  Enclave& enclave_;
+  StdOcallIds ids_;
+  std::int64_t reported_;
+};
+
+TEST_F(TlibcStdioTest, HostCountsAboveTheRequestAreRejected) {
+  // Every wrapper asks for 8 bytes; the host claims 9.  read/write report
+  // an error (-1), fread/fwrite report nothing transferred (0).
+  const std::uint64_t word = 7;
+  std::uint64_t in = 0;
+  TFile f = libc_->fopen(tmp_.c_str(), "w+b");
+  ASSERT_TRUE(f);
+  const int wfd = libc_->open("/dev/null", O_WRONLY);
+  const int rfd = libc_->open("/dev/zero", O_RDONLY);
+  ASSERT_GE(wfd, 0);
+  ASSERT_GE(rfd, 0);
+
+  enclave_->set_backend(std::make_unique<HostileCountBackend>(
+      *enclave_, libc_->ids(), sizeof(word) + 1));
+  EXPECT_EQ(libc_->write(wfd, &word, sizeof(word)), -1);
+  EXPECT_EQ(libc_->read(rfd, &in, sizeof(in)), -1);
+  EXPECT_EQ(f.write(&word, sizeof(word)), 0u);
+  EXPECT_EQ(f.seek(0, SEEK_SET), 0);
+  EXPECT_EQ(f.read(&in, sizeof(in)), 0u);
+
+  // A count equal to the request passes through unchanged.
+  enclave_->set_backend(std::make_unique<HostileCountBackend>(
+      *enclave_, libc_->ids(), sizeof(word)));
+  EXPECT_EQ(libc_->write(wfd, &word, sizeof(word)),
+            static_cast<std::int64_t>(sizeof(word)));
+  EXPECT_EQ(libc_->read(rfd, &in, sizeof(in)),
+            static_cast<std::int64_t>(sizeof(in)));
+  EXPECT_EQ(f.write(&word, sizeof(word)), sizeof(word));
+
+  // read(2)/write(2) return -1 for every error: other negatives are lies.
+  enclave_->set_backend(
+      std::make_unique<HostileCountBackend>(*enclave_, libc_->ids(), -5));
+  EXPECT_EQ(libc_->write(wfd, &word, sizeof(word)), -1);
+  EXPECT_EQ(libc_->read(rfd, &in, sizeof(in)), -1);
+
+  enclave_->set_backend(nullptr);
+  f.close();
+  EXPECT_EQ(libc_->close(wfd), 0);
+  EXPECT_EQ(libc_->close(rfd), 0);
 }
 
 }  // namespace
